@@ -18,8 +18,10 @@ import tracing
 import workloads
 
 TINY = {
-    "win-doc-group": dict(dense=((3, 3), (2, 4)), big=(3, 3), lift=(2, 4), sym_n=4, rotation_specs=((6, 2),), rounds=50),
+    "win-dense": dict(dense=((3, 3), (2, 4))),
     "lose-random": dict(random_specs=((3, 2), (2, 3)), witness_specs=((2, 2), (3, 3))),
+    "large-doc": dict(big=(3, 3), lift=(2, 4)),
+    "group-refute": dict(sym_n=4, rotation_specs=((6, 2),), rounds=50),
 }
 
 
@@ -139,10 +141,12 @@ def test_tiny_smoke_run(name, tmp_path, env):
 
     metrics, results, extra = run.trace(env, ops, 0, runner.deadline, tmp_path / "spans.jsonl")
     assert all(r.ok for r in results), [r.reason for r in results if not r.ok]
-    assert set(metrics) == set(tracing.PER_LAYER_UNITS)
+    assert set(metrics) == set(run.declared("per_layer"))
     assert metrics["cli.import_s"] > 0
     assert not extra["uninstrumented"]
-    assert 0 < metrics["kernels.gathers"] <= metrics["kernels.gathers_nominal"]
-    if name == "win-doc-group":
+    if name == "group-refute":
         assert metrics["perm.group_order"] == 24 and metrics["refute.oracle_rounds_per_s"] > 0
+        assert metrics["kernels.gathers"] == 0
+    else:
+        assert 0 < metrics["kernels.gathers"] <= metrics["kernels.gathers_nominal"]
     assert (tmp_path / "spans.jsonl").stat().st_size > 0

@@ -302,36 +302,6 @@ class _JsonShim:
         return self._tracer.call("io.json", {}, self._module.dumps, *args, **kwargs)
 
 
-PER_LAYER_UNITS = {
-    "cli.import_s": "s",
-    "io.load_s": "s",
-    "io.json_s": "s",
-    "io.dump_s": "s",
-    "io.moves": "count",
-    "solve.synth_s": "s",
-    "solve.decide_s": "s",
-    "perm.closure_s": "s",
-    "perm.group_order": "count",
-    "refute.certificate_s": "s",
-    "refute.oracle_rounds_per_s": "1/s",
-    "verify.self_s": "s",
-    "verify.tables_s": "s",
-    "verify.tables_mb": "MB",
-    "verify.move_table_s": "s",
-    "verify.move_table_calls": "count",
-    "verify.cache_hit_ratio": "ratio",
-    "verify.witness_log_mb": "MB",
-    "verify.rounds": "count",
-    "kernels.step_s": "s",
-    "kernels.step_indirect_s": "s",
-    "kernels.step_record_s": "s",
-    "kernels.gathers": "count",
-    "kernels.gathers_nominal": "count",
-    "kernels.gathers_per_s": "1/s",
-    "kernels.bytes_computed": "B",
-}
-
-
 def layer_metrics(spans) -> dict:
     """Per-layer metrics of one traced cycle (all but cli.import_s).
 

@@ -6,21 +6,18 @@ a wrong answer and returns the op's output document.
 
 Why each workload exists (the layers it stresses and the ones it bypasses):
 
-* win-doc-group: verify of synthesized winners is kernel-bound on the
-  composed table cache, and the one ``--threads 2`` op is the only place
-  thread partitioning is measured; synth and a one-round verify of
-  823 542-move documents are io- and table-build-bound with almost no
-  kernel work; decide and refute on S_8 and rot-12-2 are the pure-Python
-  group closure and refute oracle.
+* win-dense: verify of synthesized winners is kernel-bound on the composed
+  table cache, and the one ``--threads 2`` op is the only place thread
+  partitioning is measured.
 * lose-random: random strategies of unwinnable games defeat the composed
   cache (every move is new), so rounds go through move tables and the
   indirect kernel; witness ops exercise the recording kernel and the
   per-round log.  Documents are small and there is no group work.
-
-The document and group ops share a workload with the long kernel-bound
-verifies: alone, their allocation-heavy ops spread by more than the wall_s
-bound from run to run on a shared 2-vCPU host, whose speed drifts by tens
-of percent over minutes.
+* large-doc: synth and a one-round verify of 823 542-move documents are io-
+  and table-build-bound with almost no kernel work.
+* group-refute: decide and refute on S_8 and unwinnable rotation games are
+  the pure-Python group closure and refute oracle; verify, the kernels and
+  strategy io do nothing, so their optimisations must not move it.
 """
 
 import json
@@ -99,7 +96,7 @@ def relabeled_winner(ctx: Inputs, n: int, m: int) -> dict:
     return inputs.relabel_doc(ctx.winner(n, m), inputs.relabeling(n, ctx.rng))
 
 
-def dense_ops(ctx: Inputs, dense) -> list[Op]:
+def win_dense(ctx: Inputs, dense=((9, 3), (3, 27))) -> list[Op]:
     """synth, then verify of relabeled winners; the last one is verified
     again with two threads."""
     ops = [synth_op(ctx, n, m) for n, m in dense]
@@ -114,19 +111,6 @@ def dense_ops(ctx: Inputs, dense) -> list[Op]:
         if last:
             ops.append(verify_op(path, check, m**n, extra=("--threads", "2"), role="par"))
     return ops
-
-
-def win_doc_group(
-    ctx: Inputs,
-    dense=((9, 3), (3, 27)),
-    big=(7, 7),
-    lift=(8, 4),
-    sym_n=8,
-    rotation_specs=((12, 2),),
-    rounds=20_000,
-) -> list[Op]:
-    """Dense verifies, large documents, then group work, in one cycle."""
-    return dense_ops(ctx, dense) + large_doc_ops(ctx, big, lift) + group_ops(ctx, sym_n, rotation_specs, rounds)
 
 
 def lose_random(ctx: Inputs, random_specs=((12, 2), (5, 6)), witness_specs=((5, 5), (8, 2))) -> list[Op]:
@@ -152,7 +136,7 @@ def lose_random(ctx: Inputs, random_specs=((12, 2), (5, 6)), witness_specs=((5, 
     return ops
 
 
-def large_doc_ops(ctx: Inputs, big, lift) -> list[Op]:
+def large_doc(ctx: Inputs, big=(7, 7), lift=(8, 4)) -> list[Op]:
     """synth of a large winner and of a lift, and verify of the large winner
     with its first move zeroed, which loses after one round."""
     n, m = big
@@ -165,7 +149,7 @@ def large_doc_ops(ctx: Inputs, big, lift) -> list[Op]:
     return [synth_op(ctx, *big), synth_op(ctx, *lift), verify_op(path, check, m**n)]
 
 
-def group_ops(ctx: Inputs, sym_n: int, rotation_specs, rounds: int) -> list[Op]:
+def group_refute(ctx: Inputs, sym_n=8, rotation_specs=((12, 2), (15, 4)), rounds=20_000) -> list[Op]:
     """decide and refute on S_n (relabeled generators, m = 2) and on
     unwinnable rotation games."""
     sigma = inputs.relabeling(sym_n, ctx.rng)
@@ -197,6 +181,8 @@ def group_ops(ctx: Inputs, sym_n: int, rotation_specs, rounds: int) -> list[Op]:
 
 
 WORKLOADS = {
-    "win-doc-group": win_doc_group,
+    "win-dense": win_dense,
     "lose-random": lose_random,
+    "large-doc": large_doc,
+    "group-refute": group_refute,
 }
