@@ -1,25 +1,20 @@
 """Build hook for the optional compiled belief-propagation kernel.
 
-The package works without the extension (a NumPy fallback is selected at
-import time), so a missing compiler or Cython only costs speed.
+The kernel is one hand-written C file built by plain setuptools.  The
+package works without it (a NumPy fallback is selected at import time), so
+the extension is optional: without a working compiler the build warns and
+succeeds, and only speed is lost.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "spintable._kernels",
-                ["src/spintable/_kernels.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "spintable._kernels",
+            ["src/spintable/_kernels.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
+        )
+    ]
+)

@@ -44,6 +44,16 @@ def _require(cond: bool, msg: str):
         raise ValueError(msg)
 
 
+def _generators(raw, n: int) -> GeneratorSet:
+    """A nonempty list of permutation arrays of exact integers (booleans and
+    floats excluded), with the identity prepended when missing."""
+    _require(isinstance(raw, list) and raw, "generators must be a nonempty array of arrays")
+    _require(set(map(type, raw)) == {list}, "every generator must be an array")
+    entries = set(map(type, chain.from_iterable(raw)))
+    _require(entries <= {int}, "generator entries must be integers")
+    return generator_set(n, raw).with_identity()
+
+
 def _moves_array(raw, n: int, m: int) -> np.ndarray:
     """The moves as an (L, n) int64 array: a list of length-n lists of
     integers (booleans and floats excluded) in [0, m)."""
@@ -86,10 +96,7 @@ def load_strategy(text: str) -> Strategy:
     n, m = doc["n"], doc["m"]
     _require(type(n) is int and n >= 1, "n must be a positive integer")
     _require(type(m) is int and m >= 1, "m must be a positive integer")
-    gens = doc["generators"]
-    _require(isinstance(gens, list) and gens, "generators must be a nonempty array")
-    S = generator_set(n, gens).with_identity()
-    spec = GameSpec(n, m, S)
+    spec = GameSpec(n, m, _generators(doc["generators"], n))
     moves = _shared_moves(_moves_array(doc["moves"], n, m), m)
     return Strategy(spec, moves, metadata=doc.get("metadata"))
 
@@ -144,6 +151,4 @@ def load_certificate(text: str) -> UnsolvabilityCertificate:
 
 def generators_from_json(n: int, text: str) -> GeneratorSet:
     """Parse an inline JSON array of permutation arrays (identity implied)."""
-    doc = json.loads(text)
-    _require(isinstance(doc, list) and doc, "expected a nonempty JSON array of permutations")
-    return generator_set(n, doc).with_identity()
+    return _generators(json.loads(text), n)

@@ -35,7 +35,6 @@ from .perm import inverse
 from .prove import proves_win
 
 DEFAULT_STATE_CAP = 1 << 24
-_CHUNK = 1 << 20
 _COMP_CACHE_MAX = 128
 
 ORDER_PERMUTE_MOVE = "permute-move"
@@ -57,13 +56,15 @@ class Verdict:
     witness: Optional[Witness] = None
 
 
-def _digit_codes(lo: int, hi: int, m: int, n: int) -> np.ndarray:
-    """Digits of the encoded states lo..hi-1, shape (hi-lo, n)."""
-    ts = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((hi - lo, n), dtype=np.int64)
-    for i in range(n):
-        out[:, i] = (ts // m**i) % m
-    return out
+def _outer_codes(luts: np.ndarray) -> np.ndarray:
+    """The flat table whose entry t is sum_i luts[i, digit_i(t)], where
+    digit_i(t) is the i-th base-m digit of t and luts has shape (n, m): one
+    nested outer sum with position 0 innermost, which never decodes a state
+    into digits and does no gathers."""
+    out = luts[-1]
+    for lut in reversed(luts[:-1]):
+        out = np.add.outer(out, lut)
+    return out.ravel()
 
 
 def _resolve_backend(backend):
@@ -77,11 +78,12 @@ def _resolve_backend(backend):
 class TransitionTables:
     """Inverse transition tables for one game spec's dense state space.
 
-    Permutation tables are built once.  Move tables are rebuilt per distinct
-    move from a precomputed digit matrix via tiny per-position lookups (plain
-    XOR when m = 2), so strategies full of unique random moves stay cheap.
-    Fully composed per-round tables are cached for the bounded move
-    vocabularies of synthesized strategies.
+    Every table maps a state to the sum over positions of a per-position
+    lookup of that position's digit, and is built as one outer sum of the
+    lookups.  Permutation tables are built once.  Move tables are rebuilt
+    per distinct move (plain XOR when m = 2), so strategies full of unique
+    random moves stay cheap.  Fully composed per-round tables are cached for
+    the bounded move vocabularies of synthesized strategies.
     """
 
     def __init__(self, spec: GameSpec):
@@ -89,54 +91,27 @@ class TransitionTables:
         self.m = spec.m
         self.n = spec.n
         self.size = spec.state_count
-        self._digits = self._build_digits()
         self._codes = np.arange(self.size, dtype=np.int32) if spec.m == 2 else None
+        self._residues = np.arange(spec.m, dtype=np.int32)
+        self._weights = spec.m ** np.arange(spec.n, dtype=np.int32)[:, None]
         self._pinv = self._build_perm_tables()
         self._comp_cache: dict[tuple, np.ndarray] = {}
 
-    def _build_digits(self) -> Optional[np.ndarray]:
-        if self.m == 2 or self.size * self.n > (1 << 26):
-            return None
-        digits = np.empty((self.size, self.n), dtype=np.int32)
-        for lo in range(0, self.size, _CHUNK):
-            hi = min(lo + _CHUNK, self.size)
-            digits[lo:hi] = _digit_codes(lo, hi, self.m, self.n)
-        return digits
-
     def _build_perm_tables(self) -> np.ndarray:
-        m, n, size = self.m, self.n, self.size
         gens = self.spec.S.perms
-        pinv = np.empty((len(gens), size), dtype=np.int32)
-        weights = np.array(
-            [[m ** inverse(g).mapping[i] for i in range(n)] for g in gens],
-            dtype=np.int64,
-        )
-        for lo in range(0, size, _CHUNK):
-            hi = min(lo + _CHUNK, size)
-            digits = _digit_codes(lo, hi, m, n)
-            for gi in range(len(gens)):
-                pinv[gi, lo:hi] = digits @ weights[gi]
+        pinv = np.empty((len(gens), self.size), dtype=np.int32)
+        for gi, g in enumerate(gens):
+            # Digit i of a state sits at position g^-1(i) of its preimage.
+            targets = np.array(inverse(g).mapping)
+            pinv[gi] = _outer_codes(self._residues * self._weights[targets])
         return pinv
 
     def move_table(self, y: ModVector) -> np.ndarray:
         """ainv[t] = encoding of (decode(t) - y): the pre-move state."""
-        m, n, size = self.m, self.n, self.size
-        if m == 2:
+        if self.m == 2:
             return self._codes ^ np.int32(encode_config(y))
-        if self._digits is not None:
-            out = np.zeros(size, dtype=np.int32)
-            for i in range(n):
-                lut = ((np.arange(m, dtype=np.int64) - y.entries[i]) % m) * m**i
-                out += lut.astype(np.int32)[self._digits[:, i]]
-            return out
-        ainv = np.empty(size, dtype=np.int32)
-        powers = np.array([m**i for i in range(n)], dtype=np.int64)
-        yarr = np.array(y.entries, dtype=np.int64)
-        for lo in range(0, size, _CHUNK):
-            hi = min(lo + _CHUNK, size)
-            digits = _digit_codes(lo, hi, m, n)
-            ainv[lo:hi] = ((digits - yarr) % m) @ powers
-        return ainv
+        shifts = np.array(y.entries, dtype=np.int32)[:, None]
+        return _outer_codes((self._residues - shifts) % self.m * self._weights)
 
     def composed_cached(self, y: ModVector, order: str) -> Optional[np.ndarray]:
         """The cached per-round table, or None when the cache will not hold

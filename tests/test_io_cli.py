@@ -69,6 +69,48 @@ def test_cli_verify_malformed_moves_exit_2(label, moves, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+MALFORMED_GENERATORS = [
+    ("not-a-list", 5),
+    ("empty", []),
+    ("entry-not-a-list", [5]),
+    ("string", ["10"]),
+    ("float", [[1.5, 0.0]]),
+    ("integral-float", [[1.0, 0.0]]),
+    ("boolean", [[True, False]]),
+    ("mixed-boolean", [[1, False]]),
+    ("string-entry", [["1", 0]]),
+    ("null-entry", [[None, 0]]),
+    ("nested", [[[1], 0]]),
+    ("not-a-permutation", [[0, 0]]),
+    ("wrong-size", [[0, 1, 2]]),
+    ("huge", [[2**70, 0]]),
+]
+
+
+def gens_doc(gens) -> str:
+    return json.dumps({"n": 2, "m": 2, "generators": gens, "moves": [[1, 1]]})
+
+
+@pytest.mark.parametrize("label,gens", MALFORMED_GENERATORS, ids=[c[0] for c in MALFORMED_GENERATORS])
+def test_strategy_load_rejects_malformed_generators(label, gens):
+    with pytest.raises(ValueError):
+        sio.load_strategy(gens_doc(gens))
+    with pytest.raises(ValueError):
+        sio.generators_from_json(2, json.dumps(gens))
+
+
+@pytest.mark.parametrize("label,gens", MALFORMED_GENERATORS, ids=[c[0] for c in MALFORMED_GENERATORS])
+def test_cli_malformed_generators_exit_2(label, gens, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(gens_doc(gens))
+    assert run(["verify", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    gens_path = tmp_path / "gens.json"
+    gens_path.write_text(json.dumps(gens))
+    assert run(["decide", "-n", "2", "-m", "2", "--gens", str(gens_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_strategy_load_rejects_boolean_dimensions():
     for key in ("n", "m"):
         doc = {"n": 1, "m": 2, "generators": [[0]], "moves": [[1]]}

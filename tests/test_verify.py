@@ -17,6 +17,7 @@ from spintable import (
     verify_dense,
     verify_strategy,
 )
+from spintable.game import act, decode_config, encode_config
 from spintable.verify import ORDER_MOVE_PERMUTE, ORDER_PERMUTE_MOVE
 
 
@@ -186,3 +187,131 @@ def test_dense_survivors_match_sparse_belief_steps(backend):
             dst[0] = 0
             src = dst
             assert set(np.flatnonzero(src).tolist()) == set(B.codes)
+
+
+def _kernel_inputs(rng, size, G, density):
+    import numpy as np
+
+    src = (rng.random(size) < density).astype(np.uint8)
+    comp = rng.integers(0, size, (G, size), dtype=np.int32)
+    ainv = rng.permutation(size).astype(np.int32)
+    return src, comp, ainv
+
+
+def _reference_round(src, table):
+    """(live, first live generator or 0) per column of a (G, size) table."""
+    import numpy as np
+
+    gathered = src[table] != 0
+    live = gathered.any(axis=0)
+    return live.astype(np.uint8), np.where(live, gathered.argmax(axis=0), 0)
+
+
+@pytest.mark.parametrize("G", [1, 3, 7])
+@pytest.mark.parametrize("density", [0.0, 0.1, 0.9])
+def test_kernel_contract_matches_numpy_reference(backend, G, density):
+    # Every backend writes exactly the slice [t0, t1) and nothing else; the
+    # recording kernel reports the first live generator, 0 for dead states.
+    import numpy as np
+
+    from spintable import kernels
+
+    kern = kernels.get_backend(backend)
+    rng = np.random.default_rng(G * 10 + int(density * 10))
+    size = 211
+    src, comp, ainv = _kernel_inputs(rng, size, G, density)
+    live, first = _reference_round(src, comp)
+    live_ind, _ = _reference_round(src, comp[:, ainv])
+    for t0, t1 in [(0, size), (0, 0), (70, 70), (7, size - 5), (size - 1, size)]:
+        sl = slice(t0, t1)
+        dst = np.full(size, 2, dtype=np.uint8)
+        kern.step(src, dst, comp, t0, t1)
+        assert (dst[sl] == live[sl]).all()
+        assert (np.delete(dst, np.arange(t0, t1)) == 2).all()
+
+        dst = np.full(size, 2, dtype=np.uint8)
+        kern.step_indirect(src, dst, comp, ainv, t0, t1)
+        assert (dst[sl] == live_ind[sl]).all()
+        assert (np.delete(dst, np.arange(t0, t1)) == 2).all()
+
+        dst = np.full(size, 2, dtype=np.uint8)
+        gens = np.full(size, -1, dtype=np.int16)
+        kern.step_record(src, dst, gens, comp, t0, t1)
+        assert (dst[sl] == live[sl]).all()
+        assert (gens[sl] == first[sl]).all()
+        assert (np.delete(gens, np.arange(t0, t1)) == -1).all()
+
+
+def test_compiled_kernel_rejects_bad_arguments():
+    # Item type, dimensionality, contiguity, agreeing shapes and slice bounds
+    # are all checked before anything is read or written.
+    import numpy as np
+
+    from spintable import kernels
+
+    if "compiled" not in kernels.available_backends():
+        pytest.skip("compiled kernel not built")
+    kern = kernels.get_backend("compiled")
+    rng = np.random.default_rng(3)
+    size = 64
+    src, comp, ainv = _kernel_inputs(rng, size, 3, 0.5)
+    dst = np.zeros(size, dtype=np.uint8)
+    gens = np.zeros(size, dtype=np.int16)
+    readonly = dst.copy()
+    readonly.setflags(write=False)
+    bad_calls = {
+        TypeError: [
+            lambda: kern.step(src.astype(np.int8), dst, comp, 0, size),
+            lambda: kern.step(src.astype(bool), dst, comp, 0, size),
+            lambda: kern.step(src, dst, comp.astype(np.int64), 0, size),
+            lambda: kern.step(src, dst, comp.astype(np.uint32), 0, size),
+            lambda: kern.step_indirect(src, dst, comp, ainv.astype(np.int16), 0, size),
+            lambda: kern.step_record(src, dst, gens.astype(np.int32), comp, 0, size),
+            lambda: kern.step(src, dst, comp, 0.0, size),
+            lambda: kern.step(src, dst, [[0] * size], 0, size),
+        ],
+        ValueError: [
+            lambda: kern.step(src, dst, comp[0], 0, size),
+            lambda: kern.step(src, dst, comp[:, :, None], 0, size),
+            lambda: kern.step(src, dst, np.asfortranarray(comp), 0, size),
+            lambda: kern.step(src[::2], dst[::2], comp[:, ::2], 0, size // 2),
+            lambda: kern.step(src, dst[:-1], comp, 0, size - 1),
+            lambda: kern.step(src[:-1], dst, comp, 0, size),
+            lambda: kern.step(src, dst, comp[:, :-1], 0, size - 1),
+            lambda: kern.step_indirect(src, dst, comp, ainv[:-1], 0, size - 1),
+            lambda: kern.step_record(src, dst, gens[:-1], comp, 0, size - 1),
+            lambda: kern.step(src, dst, comp, 0, size + 1),
+            lambda: kern.step(src, dst, comp, -1, size),
+            lambda: kern.step(src, dst, comp, 5, 4),
+            lambda: kern.step_indirect(src, dst, comp, ainv, 0, size + 1),
+            lambda: kern.step_record(src, dst, gens, comp, 0, size + 1),
+            lambda: kern.step(src, readonly, comp, 0, size),
+        ],
+    }
+    for exc, calls in bad_calls.items():
+        for call in calls:
+            with pytest.raises(exc):
+                call()
+    assert not readonly.any()
+
+
+@pytest.mark.parametrize("n,m", [(5, 2), (4, 3), (3, 5), (3, 6), (2, 27)])
+def test_transition_tables_match_decoded_reference(n, m):
+    # Move tables: ainv[t] = encode(decode(t) - y).  Permutation tables:
+    # pinv[g, t] = encode(g^-1 applied to decode(t)).
+    from spintable.perm import inverse
+    from spintable.verify import TransitionTables
+
+    spec = rot_spec(n, m)
+    tables = TransitionTables(spec)
+    configs = [decode_config(t, n, m) for t in range(spec.state_count)]
+    rng = random.Random(n * 100 + m)
+    moves = [[0] * n, [m - 1] * n] + [[rng.randrange(m) for _ in range(n)] for _ in range(3)]
+    for entries in moves:
+        y = mod_vector(m, entries)
+        table = tables.move_table(y)
+        assert table.dtype.name == "int32"
+        assert table.tolist() == [encode_config(x - y) for x in configs]
+    for gi, g in enumerate(spec.S.perms):
+        g_inv = inverse(g)
+        assert tables._pinv[gi].tolist() == [encode_config(act(g_inv, x)) for x in configs]
