@@ -23,6 +23,25 @@ from .solve import decide, synth
 from .verify import DEFAULT_STATE_CAP, bench_verify, verify_strategy
 
 
+def _count_at_least(low: int):
+    """An argparse type for integers >= low; anything else exits 2."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+_NONNEGATIVE = _count_at_least(0)
+_POSITIVE = _count_at_least(1)
+
+
 def _add_spec_args(p: argparse.ArgumentParser):
     p.add_argument("-n", type=int, required=True, help="number of positions")
     p.add_argument("-m", type=int, required=True, help="counter modulus")
@@ -74,13 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("-o", metavar="PATH", help="write the verdict here")
     p_verify.add_argument("--witness", action="store_true", help="extract a losing line")
     p_verify.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP, help="state cap")
-    p_verify.add_argument("--threads", type=int, default=1)
+    p_verify.add_argument("--threads", type=_POSITIVE, default=1)
     p_verify.add_argument("--backend", choices=available_backends())
 
     p_refute = sub.add_parser("refute", help="emit a certificate and fuzz its invariant")
     _add_spec_args(p_refute)
     p_refute.add_argument("-o", metavar="PATH", help="write the certificate here")
-    p_refute.add_argument("--rounds", type=int, default=1000, help="adversary rounds to fuzz")
+    p_refute.add_argument("--rounds", type=_NONNEGATIVE, default=1000, help="adversary rounds to fuzz")
     p_refute.add_argument("--seed", type=int, default=0)
 
     p_play = sub.add_parser("play", help="play the adversary against a strategy")
@@ -97,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="which kernel to time (default: every available one)",
     )
-    p_bench.add_argument("--threads", type=int, default=1)
-    p_bench.add_argument("--repeat", type=int, default=3)
+    p_bench.add_argument("--threads", type=_POSITIVE, default=1)
+    p_bench.add_argument("--repeat", type=_POSITIVE, default=3)
     p_bench.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
     p_bench.add_argument("-o", metavar="PATH", help="write the report here")
     return parser

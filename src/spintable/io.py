@@ -4,7 +4,8 @@ Serialization is byte-stable: fixed key order, compact separators, a single
 trailing newline.  Strategy files may omit the identity from the generator
 list; it is re-added on load because the game requires it.  Strategy moves
 are validated and deduplicated as one integer array, so loading a document
-of a million moves costs a few array passes beyond json itself.
+of a million moves costs a few array passes beyond json itself; writing one
+encodes each distinct move once.
 """
 
 import json
@@ -27,16 +28,28 @@ def _dumps(obj) -> str:
 
 
 def dump_strategy(strategy: Strategy) -> str:
+    """The bytes _dumps gives for the document, with the moves written by
+    _moves_text and spliced in after the generators, keeping key order."""
     spec = strategy.spec
-    doc = {
-        "n": spec.n,
-        "m": spec.m,
-        "generators": [list(g.mapping) for g in spec.S.perms],
-        "moves": [list(y.entries) for y in strategy.moves],
-    }
+    head = {"n": spec.n, "m": spec.m, "generators": [list(g.mapping) for g in spec.S.perms]}
+    parts = [json.dumps(head, separators=_SEPARATORS)[:-1], ',"moves":', _moves_text(strategy.moves)]
     if strategy.metadata is not None:
-        doc["metadata"] = strategy.metadata
-    return _dumps(doc)
+        parts += [',"metadata":', json.dumps(strategy.metadata, separators=_SEPARATORS)]
+    parts.append("}\n")
+    return "".join(parts)
+
+
+def _moves_text(moves) -> str:
+    """The compact JSON of [list(y.entries) for y in moves].  Each distinct
+    move is encoded once and the text is joined from those rows, so a
+    million-move strategy over a small vocabulary costs a few list passes."""
+    if not moves:
+        return "[]"
+    vocab: dict[tuple, int] = {}
+    index = [vocab.setdefault(y.entries, len(vocab)) for y in moves]
+    # Rows hold only integers, so "],[" appears only between rows.
+    rows = json.dumps(list(vocab), separators=_SEPARATORS)[2:-2].split("],[")
+    return "[[" + "],[".join(map(rows.__getitem__, index)) + "]]"
 
 
 def _require(cond: bool, msg: str):

@@ -9,7 +9,7 @@ that one convention.
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import CapExceeded
 
@@ -139,8 +139,14 @@ class Group:
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _mappings(self) -> frozenset[tuple[int, ...]]:
+        # Built on the first membership test, so callers that only need the
+        # order (decide) never pay for it.
+        return frozenset(g.mapping for g in self.elements)
+
     def __contains__(self, g: Permutation) -> bool:
-        return g in set(self.elements)
+        return g.mapping in self._mappings
 
     def __repr__(self):
         return f"Group(n={self.n}, order={self.order})"

@@ -38,7 +38,7 @@ import numpy as np
 from .game import Strategy, act, decode_config, encode_config
 from .linalg import _rref, is_prime, solve_in_span
 from .perm import GeneratorSet
-from .solve import prime_power
+from .solve import prime_power, ruler_valuations
 
 
 def proves_win(strategy: Strategy) -> bool:
@@ -85,9 +85,7 @@ def _distinct_prefix_sums(codes: np.ndarray, m: int, n: int) -> bool:
 
 
 def _ruler(codes: np.ndarray, p: int, n: int, S: GeneratorSet) -> bool:
-    valuation = np.zeros(len(codes), dtype=np.intp)
-    for j in range(1, n):
-        valuation[p**j - 1 :: p**j] = j
+    valuation = ruler_valuations(len(codes), p)
     basis_codes = codes[p ** np.arange(n, dtype=np.int64) - 1]
     if not np.array_equal(codes, basis_codes[valuation]):
         return False

@@ -15,11 +15,13 @@ exactly m^n - 1:
 """
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
+
+import numpy as np
 
 from .errors import CapExceeded, UnsolvableSpec
 from .game import GameSpec, Strategy
-from .linalg import ModVector, ZpBasis, binomial_basis, fixed_chain_basis, vp
+from .linalg import ModVector, ZpBasis, binomial_basis, fixed_chain_basis, mod_vector
 from .perm import closure, rotation
 
 DEFAULT_MOVE_CAP = 1 << 26
@@ -91,36 +93,37 @@ def optimal_length(n: int, m: int, move_cap: int = DEFAULT_MOVE_CAP) -> int:
     return length
 
 
-def gray_vectors(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """All of {0..m-1}^n in reflected mixed-radix Gray order, starting at
-    zero; consecutive vectors differ by +-1 in a single coordinate."""
-    if n == 0:
-        yield ()
-        return
-    forward = True
-    inner = list(gray_vectors(n - 1, m))
-    for d in range(m):
-        block = inner if forward else reversed(inner)
-        for rest in block:
-            yield rest + (d,)
-        forward = not forward
+def ruler_valuations(count: int, p: int) -> np.ndarray:
+    """v_p(i) for i = 1..count, one strided pass per power of p."""
+    if p < 2 and count > 0:
+        raise ValueError("valuation needs a base p >= 2")
+    valuation = np.zeros(count, dtype=np.intp)
+    step = p
+    while step <= count:
+        valuation[step - 1 :: step] += 1
+        step *= p
+    return valuation
 
 
 def enumeration_strategy(spec: GameSpec) -> Strategy:
     """Winning moves for a trivial group: with no adversary permutations,
     the prefix sums just need to visit every nonzero configuration once,
-    and the Gray walk does it touching one counter per move."""
+    and the reflected mixed-radix Gray walk does it touching one counter
+    per move.  Move k of that walk changes counter j = v_m(k), by +1 when
+    k // m^(j+1) is even and by -1 when it is odd, so the whole walk is a
+    schedule over 2n shared vectors."""
     if closure(spec.S).order != 1:
         raise ValueError("enumeration strategy requires a trivial group")
-    optimal_length(spec.n, spec.m)
-    moves = []
-    prev = None
-    for code in gray_vectors(spec.n, spec.m):
-        cur = ModVector(spec.m, code)
-        if prev is not None:
-            moves.append(cur - prev)
-        prev = cur
-    return Strategy(spec, tuple(moves), metadata={"construction": "gray"})
+    n, m = spec.n, spec.m
+    length = optimal_length(n, m)
+    counter = ruler_valuations(length, m)
+    k = np.arange(1, length + 1, dtype=np.int64)
+    down = (k // np.power(m, counter + 1, dtype=np.int64)) % 2
+    vectors = [
+        mod_vector(m, (step if i == j else 0 for i in range(n))) for j in range(n) for step in (1, -1)
+    ]
+    moves = tuple(map(vectors.__getitem__, (2 * counter + down).tolist()))
+    return Strategy(spec, moves, metadata={"construction": "gray"})
 
 
 def _is_full_rotation_group(spec: GameSpec) -> bool:
@@ -131,8 +134,7 @@ def _is_full_rotation_group(spec: GameSpec) -> bool:
 def ruler_moves(basis: ZpBasis, p: int, count: int) -> tuple[ModVector, ...]:
     """The schedule y_i = x_{v_p(i)} for i = 1..count; move objects are
     shared, so long schedules stay cheap."""
-    vectors = basis.vectors
-    return tuple(vectors[vp(i, p)] for i in range(1, count + 1))
+    return tuple(map(basis.vectors.__getitem__, ruler_valuations(count, p).tolist()))
 
 
 def synth_mod_p(spec: GameSpec) -> Strategy:
@@ -196,19 +198,20 @@ def lift_strategy(base: Strategy, modp: Strategy) -> Strategy:
     target_m = p**b
     spec = GameSpec(n, target_m, base.spec.S)
     block = p ** ((b - 1) * n)
-    total = optimal_length(n, target_m)
+    optimal_length(n, target_m)
+    if len(base.moves) != block - 1 or len(modp.moves) != p**n - 1:
+        raise ValueError("both strategies must have optimal length")
     embed_scaled = {
         y.entries: ModVector(target_m, tuple(p * e for e in y.entries)) for y in set(base.moves)
     }
     embed_plain = {
         y.entries: ModVector(target_m, y.entries) for y in set(modp.moves)
     }
-    moves = []
-    for i in range(1, total + 1):
-        if i % block == 0:
-            moves.append(embed_plain[modp.moves[i // block - 1].entries])
-        else:
-            moves.append(embed_scaled[base.moves[i % block - 1].entries])
+    scaled = [embed_scaled[y.entries] for y in base.moves]
+    moves = list(scaled)
+    for y in modp.moves:
+        moves.append(embed_plain[y.entries])
+        moves.extend(scaled)
     meta = dict(modp.metadata or {})
     meta["construction"] = "lift"
     meta["b"] = b

@@ -85,3 +85,38 @@ def orbit_partition(group_mappings, vectors):
         remaining -= orbit
         orbits.append(orbit)
     return orbits
+
+
+def gray_walk(n, m):
+    """All of {0..m-1}^n in reflected mixed-radix Gray order, starting at
+    zero, built recursively: the last coordinate is the slowest, and the
+    walk over the others runs forward and backward in turn."""
+    if n == 0:
+        return [()]
+    inner = gray_walk(n - 1, m)
+    out = []
+    for d in range(m):
+        block = inner if d % 2 == 0 else inner[::-1]
+        out.extend(rest + (d,) for rest in block)
+    return out
+
+
+def gray_moves(n, m):
+    """The moves whose prefix sums walk gray_walk(n, m): consecutive
+    differences mod m."""
+    walk = gray_walk(n, m)
+    return [tuple((b - a) % m for a, b in zip(x, y)) for x, y in zip(walk, walk[1:])]
+
+
+def lifted_moves(base, modp, p, n, target_m):
+    """Move i (1-based) of the lift is the mod-p move i / block, unscaled,
+    when block divides i, and p times base move i mod block otherwise, with
+    block = (target_m / p)^n."""
+    block = (target_m // p) ** n
+    out = []
+    for i in range(1, target_m**n):
+        if i % block == 0:
+            out.append(tuple(modp[i // block - 1]))
+        else:
+            out.append(tuple(p * e % target_m for e in base[i % block - 1]))
+    return out

@@ -1,10 +1,12 @@
+import hashlib
 import io
 import json
+import random
 
 import pytest
 
 from conftest import rot_spec
-from spintable import Strategy, mod_vector, simulate_trace, synth
+from spintable import GameSpec, Strategy, generator_set, mod_vector, simulate_trace, synth
 from spintable import io as sio
 from spintable.cli import run
 from spintable.refute import build_certificate
@@ -17,6 +19,78 @@ def test_strategy_round_trip_is_byte_stable():
     again = sio.load_strategy(text)
     assert again == strategy
     assert sio.dump_strategy(again) == text
+
+
+# sha256 of dump_strategy(synth(spec)): the strategy documents are byte-stable.
+GOLDEN_STRATEGY_SHA256 = [
+    (rot_spec(4, 2), "2ef5fe4a8c130ee5147c5090b680bc5617d83f79cadb88aaf79386175ffa688a"),
+    (rot_spec(8, 4), "23b18aaf1c0e0975e46e0ea242ae666f5ab8251491f5299a729d930ba2be9988"),
+    (rot_spec(3, 27), "01ba54df8bb4e7dc017887ff75ba3b3681c23a4aff9a3c0353fc5eb73f3d4c05"),
+    (rot_spec(9, 3), "81a942e3b3f250992bad1cffbdc3649410b9ba32f4c68b8366f6c5dedcdf8b48"),
+    (rot_spec(7, 7), "2e7562b560eb9aef99d6eb5388a17bd0a115454d159a5e07224b02c1965c0ab7"),
+    (
+        GameSpec(4, 3, generator_set(4, [[0, 1, 2, 3]])),
+        "af739d2c25381ca8774e42b7cb1b05ab7480022241dbe8165c0c0c678683d45c",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,digest",
+    GOLDEN_STRATEGY_SHA256,
+    ids=["rot-4-2", "rot-8-4", "rot-3-27", "rot-9-3", "rot-7-7", "trivial-4-3"],
+)
+def test_strategy_dump_golden_digest(spec, digest):
+    text = sio.dump_strategy(synth(spec))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _reference_dump(strategy: Strategy) -> str:
+    spec = strategy.spec
+    doc = {
+        "n": spec.n,
+        "m": spec.m,
+        "generators": [list(g.mapping) for g in spec.S.perms],
+        "moves": [list(y.entries) for y in strategy.moves],
+    }
+    if strategy.metadata is not None:
+        doc["metadata"] = strategy.metadata
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def _random_document(n, m, length, seed) -> str:
+    rng = random.Random(seed)
+    moves = [[rng.randrange(m) for _ in range(n)] for _ in range(length)]
+    return json.dumps({"n": n, "m": m, "generators": [[1, 2, 0]], "moves": moves})
+
+
+def _dump_reference_cases():
+    spec = rot_spec(3, 3)
+    shared = synth(spec)
+    unshared = Strategy(spec, tuple(mod_vector(3, y.entries) for y in shared.moves))
+    loaded = sio.load_strategy(_random_document(3, 5, 400, seed=3))
+    return [
+        ("shared", shared),
+        ("unshared-equal", unshared),
+        ("empty", Strategy(rot_spec(2, 1), ())),
+        ("empty-with-metadata", Strategy(rot_spec(2, 1), (), metadata={"construction": "gray"})),
+        ("no-metadata", Strategy(spec, shared.moves)),
+        ("non-ascii-metadata", Strategy(spec, shared.moves, metadata={"note": "héllo ✓", "k": [1]})),
+        ("one-position", synth(GameSpec(1, 5, generator_set(1, [[0]])))),
+        ("loaded-random", loaded),
+    ]
+
+
+DUMP_REFERENCE_CASES = _dump_reference_cases()
+
+
+@pytest.mark.parametrize(
+    "label,strategy", DUMP_REFERENCE_CASES, ids=[c[0] for c in DUMP_REFERENCE_CASES]
+)
+def test_strategy_dump_matches_reference(label, strategy):
+    text = sio.dump_strategy(strategy)
+    assert text == _reference_dump(strategy)
+    assert sio.load_strategy(text) == strategy
 
 
 def test_strategy_load_adds_implied_identity():
@@ -286,6 +360,30 @@ def test_cli_requires_exactly_one_generator_source():
     with pytest.raises(SystemExit) as exc:
         run(["decide", "-n", "4", "-m", "2", "--rotations", "--gens", "[[0,1,2,3]]"])
     assert exc.value.code == 2
+
+
+NEGATIVE_COUNTS = [
+    ["refute", "-n", "6", "-m", "2", "--rotations", "--rounds", "-5"],
+    ["refute", "-n", "6", "-m", "2", "--rotations", "--rounds", "many"],
+    ["verify", "s.json", "--threads", "0"],
+    ["verify", "s.json", "--threads", "-3"],
+    ["bench", "-n", "2", "-m", "2", "--rotations", "--threads", "0"],
+    ["bench", "-n", "2", "-m", "2", "--rotations", "--repeat", "-1"],
+    ["bench", "-n", "2", "-m", "2", "--rotations", "--repeat", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_COUNTS, ids=lambda a: "-".join([a[0], *a[-2:]]))
+def test_cli_out_of_range_counts_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "expected an integer >=" in capsys.readouterr().err
+
+
+def test_cli_zero_refute_rounds_accepted(capsys):
+    assert run(["refute", "-n", "6", "-m", "2", "--rotations", "--rounds", "0"]) == 0
+    assert "invariant held for 0 rounds" in capsys.readouterr().err
 
 
 def test_verdict_json_matches_verifier(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -173,6 +174,19 @@ def test_cauchy_requires_divisor():
 def test_cauchy_order_is_exactly_p(n, p):
     G = closure(rotation_generators(n))
     assert element_order(cauchy_element(G, p)) == p
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [[[1, 2, 3, 0]], [[1, 0, 2, 3]], [[1, 0, 2, 3], [1, 2, 3, 0]], [[0, 1, 2, 3]]],
+    ids=["rot-4", "swap", "sym-4", "trivial"],
+)
+def test_group_membership_matches_element_scan(gens):
+    G = closure(generator_set(4, gens).with_identity())
+    for images in itertools.permutations(range(4)):
+        g = perm(images)
+        assert (g in G) == any(h == g for h in G.elements)
+    assert perm([1, 0, 2]) not in G
 
 
 def test_cyclic_blocks_rotations():

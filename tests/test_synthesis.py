@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import rot_spec
+from oracles import gray_moves, lifted_moves
 from spintable import (
     CapExceeded,
     GameSpec,
@@ -17,7 +18,9 @@ from spintable import (
     synth,
     synth_mod_p,
     verify_strategy,
+    vp,
 )
+from spintable.solve import ruler_valuations
 
 GOLDEN_15 = [
     (1, 1, 1, 1), (0, 1, 0, 1), (1, 1, 1, 1), (0, 0, 1, 1),
@@ -245,3 +248,70 @@ def test_off_boundary_lift_moves_vanish_mod_p():
     for i, y in enumerate(lifted.moves, start=1):
         if i % 4 != 0:
             assert all(e % 2 == 0 for e in y.entries)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_ruler_valuations_match_vp(p):
+    for count in (0, 1, p - 1, p, p**2 - 1, p**3, 1000):
+        assert ruler_valuations(count, p).tolist() == [vp(i, p) for i in range(1, count + 1)]
+
+
+def test_ruler_valuations_reject_base_below_two():
+    assert ruler_valuations(0, 1).tolist() == []
+    with pytest.raises(ValueError):
+        ruler_valuations(3, 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumeration_matches_recursive_gray_walk(n, m):
+    spec = GameSpec(n, m, generator_set(n, [list(range(n))]))
+    strategy = enumeration_strategy(spec)
+    assert [y.entries for y in strategy.moves] == gray_moves(n, m)
+    assert len({id(y) for y in strategy.moves}) <= 2 * n
+
+
+def _lift_chain(spec):
+    """Every lift_strategy call synth makes for spec, as (base, modp) pairs."""
+    v = decide(spec)
+    modp = synth_mod_p(rot_spec(spec.n, v.p))
+    out = modp
+    pairs = []
+    for _ in range(v.b - 1):
+        pairs.append((out, modp))
+        out = lift_strategy(out, modp)
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "spec", [rot_spec(2, 8), rot_spec(8, 4), rot_spec(3, 27)], ids=lambda s: f"rot-{s.n}-{s.m}"
+)
+def test_lift_matches_per_move_reference(spec):
+    pairs = _lift_chain(spec)
+    assert pairs
+    for base, modp in pairs:
+        p = modp.spec.m
+        lifted = lift_strategy(base, modp)
+        expected = lifted_moves(
+            [y.entries for y in base.moves], [y.entries for y in modp.moves], p, spec.n, lifted.spec.m
+        )
+        assert [y.entries for y in lifted.moves] == expected
+    assert lifted.spec == spec
+    assert [y.entries for y in lifted.moves] == [y.entries for y in synth(spec).moves]
+
+
+def test_lift_from_unit_modulus_matches_per_move_reference():
+    for n, p in [(2, 2), (3, 3), (4, 2)]:
+        modp = synth_mod_p(rot_spec(n, p))
+        lifted = lift_strategy(Strategy(rot_spec(n, 1), ()), modp)
+        expected = lifted_moves([], [y.entries for y in modp.moves], p, n, p)
+        assert [y.entries for y in lifted.moves] == expected
+
+
+def test_lift_rejects_strategies_of_the_wrong_length():
+    modp = synth_mod_p(rot_spec(2, 2))
+    short = Strategy(modp.spec, modp.moves[:-1])
+    with pytest.raises(ValueError):
+        lift_strategy(short, modp)
+    with pytest.raises(ValueError):
+        lift_strategy(modp, short)
