@@ -1,11 +1,12 @@
 /* Compiled belief-propagation kernel.
  *
- * One call advances the dense survivor table by one round for a slice
- * [t0, t1) of the state space: dst[t] = OR over generators g of
- * src[comp[g, t]], where comp is the precomposed inverse transition table for
- * this round's move.  Each loop stops at the first live predecessor and runs
- * with the GIL released, so the caller can split the state space over
- * threads.
+ * Two functions, one contract: each call advances the dense survivor table
+ * by one round for a slice [t0, t1) of the state space.  step reads a
+ * precomposed inverse transition table for this round's move, dst[t] = OR
+ * over generators g of src[comp[g, t]]; step_indirect composes it on the
+ * fly, dst[t] = OR_g src[pinv[g, ainv[t]]].  Each loop stops at the first
+ * live predecessor and runs with the GIL released, so the caller can split
+ * the state space over threads.
  *
  * Arguments are read through the buffer protocol, so the module needs neither
  * Cython nor the NumPy headers.  Every call checks item types, dimensions,
@@ -68,22 +69,18 @@ release(Py_buffer *views, int count)
  * builds them: checking each gather would cost a third of the kernel's time. */
 
 static void
-loop_step(const uint8_t *src, uint8_t *dst, int16_t *gens, const int32_t *comp,
+loop_step(const uint8_t *src, uint8_t *dst, const int32_t *comp,
           Py_ssize_t G, Py_ssize_t size, Py_ssize_t t0, Py_ssize_t t1)
 {
     for (Py_ssize_t t = t0; t < t1; t++) {
         uint8_t v = 0;
-        int16_t chosen = 0;
         for (Py_ssize_t g = 0; g < G; g++) {
             if (src[comp[g * size + t]]) {
                 v = 1;
-                chosen = (int16_t)g;
                 break;
             }
         }
         dst[t] = v;
-        if (gens)
-            gens[t] = chosen;
     }
 }
 
@@ -105,16 +102,14 @@ loop_indirect(const uint8_t *src, uint8_t *dst, const int32_t *pinv,
     }
 }
 
-/* Shared driver: buffers are [src, dst, table, extra]; `extra` is ainv for
- * step_indirect, gens for step_record, absent for step. */
-enum { STEP, STEP_INDIRECT, STEP_RECORD };
-
+/* Shared body of both functions: buffers are [src, dst, comp] for step and
+ * [src, dst, pinv, ainv] for step_indirect. */
 static PyObject *
-run(int kind, PyObject *const objs[], Py_ssize_t t0, Py_ssize_t t1)
+run(int indirect, PyObject *const objs[], Py_ssize_t t0, Py_ssize_t t1)
 {
     Py_buffer v[4];
-    int held = 0, nbuf = kind == STEP ? 3 : 4;
-    const char *table = kind == STEP_INDIRECT ? "pinv" : "comp";
+    int held = 0;
+    const char *table = indirect ? "pinv" : "comp";
 
     if (get_array(objs[0], &v[held], "src", 1, 1, 1, 0) < 0) goto fail;
     held++;
@@ -122,22 +117,16 @@ run(int kind, PyObject *const objs[], Py_ssize_t t0, Py_ssize_t t1)
     held++;
     if (get_array(objs[2], &v[held], table, 2, 4, 0, 0) < 0) goto fail;
     held++;
-    if (nbuf == 4) {
-        int record = kind == STEP_RECORD;
-        if (get_array(objs[3], &v[held], record ? "gens" : "ainv", 1,
-                      record ? 2 : 4, 0, record) < 0) goto fail;
+    if (indirect) {
+        if (get_array(objs[3], &v[held], "ainv", 1, 4, 0, 0) < 0) goto fail;
         held++;
     }
 
     Py_ssize_t size = v[1].shape[0], G = v[2].shape[0];
     if (v[0].shape[0] != size || v[2].shape[1] != size
-        || (nbuf == 4 && v[3].shape[0] != size)) {
+        || (indirect && v[3].shape[0] != size)) {
         PyErr_Format(PyExc_ValueError,
                      "src, dst and %s must cover the same %zd states", table, size);
-        goto fail;
-    }
-    if (kind == STEP_RECORD && G > INT16_MAX) {
-        PyErr_SetString(PyExc_ValueError, "step_record supports at most 32767 generators");
         goto fail;
     }
     if (t0 < 0 || t0 > t1 || t1 > size) {
@@ -150,11 +139,10 @@ run(int kind, PyObject *const objs[], Py_ssize_t t0, Py_ssize_t t1)
     uint8_t *dst = v[1].buf;
     const int32_t *tab = v[2].buf;
     Py_BEGIN_ALLOW_THREADS
-    if (kind == STEP_INDIRECT)
+    if (indirect)
         loop_indirect(src, dst, tab, v[3].buf, G, size, t0, t1);
     else
-        loop_step(src, dst, kind == STEP_RECORD ? v[3].buf : NULL,
-                  tab, G, size, t0, t1);
+        loop_step(src, dst, tab, G, size, t0, t1);
     Py_END_ALLOW_THREADS
     release(v, held);
     Py_RETURN_NONE;
@@ -172,7 +160,7 @@ step(PyObject *self, PyObject *args, PyObject *kwargs)
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOnn:step", kw,
                                      &o[0], &o[1], &o[2], &t0, &t1))
         return NULL;
-    return run(STEP, o, t0, t1);
+    return run(0, o, t0, t1);
 }
 
 static PyObject *
@@ -184,19 +172,7 @@ step_indirect(PyObject *self, PyObject *args, PyObject *kwargs)
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOnn:step_indirect", kw,
                                      &o[0], &o[1], &o[2], &o[3], &t0, &t1))
         return NULL;
-    return run(STEP_INDIRECT, o, t0, t1);
-}
-
-static PyObject *
-step_record(PyObject *self, PyObject *args, PyObject *kwargs)
-{
-    static char *kw[] = {"src", "dst", "gens", "comp", "t0", "t1", NULL};
-    PyObject *o[4];
-    Py_ssize_t t0, t1;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOnn:step_record", kw,
-                                     &o[0], &o[1], &o[3], &o[2], &t0, &t1))
-        return NULL;
-    return run(STEP_RECORD, o, t0, t1);
+    return run(1, o, t0, t1);
 }
 
 static PyMethodDef methods[] = {
@@ -208,10 +184,6 @@ static PyMethodDef methods[] = {
      "Like step, but composes the round table on the fly:\n"
      "dst[t] = OR_g src[pinv[g, ainv[t]]].  Used for moves that are not worth\n"
      "caching a composed table for."},
-    {"step_record", (PyCFunction)(void (*)(void))step_record, METH_VARARGS | METH_KEYWORDS,
-     "step_record(src, dst, gens, comp, t0, t1)\n--\n\n"
-     "Like step, but also records the first live predecessor's generator\n"
-     "index per state (0 for dead states), for witness reconstruction."},
     {NULL, NULL, 0, NULL},
 };
 

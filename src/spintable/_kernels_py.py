@@ -1,7 +1,8 @@
 """NumPy fallback for the belief-propagation kernel.
 
-Same contract as the compiled module: used automatically when the extension
-is unavailable, and directly when benchmarking the two against each other.
+Same two-function contract as the compiled module (step and step_indirect,
+see _kernels.c): used automatically when the extension is unavailable, and
+directly when benchmarking the two against each other.
 """
 
 import numpy as np
@@ -22,11 +23,3 @@ def step_indirect(src, dst, pinv, ainv, t0, t1):
     np.take(src, pinv[0].take(u), out=dst[sl])
     for g in range(1, pinv.shape[0]):
         np.bitwise_or(dst[sl], src[pinv[g].take(u)], out=dst[sl])
-
-
-def step_record(src, dst, gens, comp, t0, t1):
-    sl = slice(t0, t1)
-    stacked = src[comp[:, sl]]
-    np.max(stacked, axis=0, out=dst[sl])
-    # argmax returns the first live generator; dead states get 0, never read.
-    gens[sl] = np.argmax(stacked, axis=0)

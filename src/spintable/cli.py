@@ -7,6 +7,7 @@ input, exceeded caps, or I/O failure.
 """
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -197,10 +198,14 @@ def _cmd_play(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     if args.start:
-        x = mod_vector(spec.m, (int(v) for v in args.start.split(",")))
-        if x.n != spec.n:
+        entries = [int(v) for v in args.start.split(",")]
+        if len(entries) != spec.n:
             print("error: start configuration has the wrong length", file=sys.stderr)
             return 2
+        if not all(0 <= v < spec.m for v in entries):
+            print(f"error: start entries must lie in [0, {spec.m})", file=sys.stderr)
+            return 2
+        x = mod_vector(spec.m, entries)
     else:
         rng = random.Random(args.seed)
         x = zero_config(spec)
@@ -252,24 +257,14 @@ def _cmd_bench(args) -> int:
         )
         strategy = Strategy(spec, moves)
     backends = available_backends() if args.backend == "all" else [args.backend]
-    results = []
-    for name in backends:
-        r = bench_verify(
-            strategy, backend=name, threads=args.threads, repeat=args.repeat, state_cap=args.cap
+    results = [
+        dataclasses.asdict(
+            bench_verify(
+                strategy, backend=name, threads=args.threads, repeat=args.repeat, state_cap=args.cap
+            )
         )
-        results.append(
-            {
-                "backend": r.backend,
-                "wins": r.wins,
-                "steps": r.steps,
-                "states": r.states,
-                "generators": r.generators,
-                "seconds": r.seconds,
-                "transitions": r.transitions,
-                "transitions_per_second": r.transitions_per_second,
-                "states_per_second": r.states_per_second,
-            }
-        )
+        for name in backends
+    ]
     doc = {"default_backend": default_backend_name(), "results": results}
     _emit(json.dumps(doc, separators=(",", ":")) + "\n", args.o)
     return 0

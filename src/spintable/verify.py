@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CapExceeded
-from .game import GameSpec, Strategy, act, decode_config, encode_config
+from .game import GameSpec, Strategy, decode_config, encode_config
 from .linalg import ModVector
 from .perm import inverse
 from .prove import proves_win
@@ -154,8 +154,6 @@ def _check_request(spec: GameSpec, want_witness: bool, state_cap: int, order: st
         raise CapExceeded(f"state space {size} exceeds cap {state_cap}")
     if want_witness and order != ORDER_PERMUTE_MOVE:
         raise ValueError("witness extraction is only supported in canonical order")
-    if want_witness and len(spec.S) > 32767:
-        raise ValueError("witness extraction supports at most 32767 generators")
 
 
 def verify_strategy(
@@ -206,9 +204,9 @@ def verify_dense(
 
     The survivor set starts as every nonzero configuration (the start is a
     checkpoint) and is advanced one move at a time; the strategy wins iff it
-    empties.  With want_witness, a losing run also reconstructs one explicit
-    surviving (start, generator choices) line via per-round predecessor
-    records.
+    empties.  With want_witness, the survivor set entering each round is kept
+    as a bitmap, and a losing run walks back through those bitmaps from a
+    final survivor to one explicit surviving (start, generator choices) line.
     """
     spec = strategy.spec
     size = spec.state_count
@@ -225,18 +223,14 @@ def verify_dense(
         return Verdict(wins=True, steps_checked=0)
 
     n_moves = len(strategy.moves)
-    gens_log: list[np.ndarray] = []
+    survivors_log: list[np.ndarray] = []
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         for k, y in enumerate(strategy.moves, start=1):
-            comp = tables.composed_cached(y, order)
             if want_witness:
-                if comp is None:
-                    comp = tables._compose(y, order)
-                gens = np.empty(size, dtype=np.int16)
-                _run(kern.step_record, (src, dst, gens, comp), size, pool, threads)
-                gens_log.append(gens)
-            elif comp is not None:
+                survivors_log.append(np.packbits(src))
+            comp = tables.composed_cached(y, order)
+            if comp is not None:
                 _run(kern.step, (src, dst, comp), size, pool, threads)
             elif order == ORDER_PERMUTE_MOVE:
                 ainv = tables.move_table(y)
@@ -258,23 +252,34 @@ def verify_dense(
 
     if not want_witness:
         return Verdict(wins=False, steps_checked=n_moves)
-    witness = _reconstruct_witness(strategy, src, gens_log)
+    witness = _reconstruct_witness(strategy, tables, src, survivors_log)
     return Verdict(wins=False, steps_checked=n_moves, witness=witness)
 
 
-def _reconstruct_witness(strategy: Strategy, final: np.ndarray, gens_log) -> Witness:
-    spec = strategy.spec
-    m, n = spec.m, spec.n
-    inverses = [inverse(g) for g in spec.S.perms]
+def _reconstruct_witness(
+    strategy: Strategy, tables: TransitionTables, final: np.ndarray, survivors_log
+) -> Witness:
+    """Walk back from the first final survivor.  A state t surviving round k
+    has a live predecessor pinv[g, u] in round k's entering bitmap, where u
+    is t with the move undone; the first live generator g is taken, so only
+    G bits of each bitmap are read."""
+    n, m = strategy.spec.n, strategy.spec.m
     t = int(np.flatnonzero(final)[0])
     perms_rev: list[int] = []
-    for k in range(len(strategy.moves) - 1, -1, -1):
-        g_idx = int(gens_log[k][t])
-        y = strategy.moves[k]
-        pre_move = decode_config(t, n, m) - y
-        pre_perm = act(inverses[g_idx], pre_move)
-        perms_rev.append(g_idx)
-        t = encode_config(pre_perm)
+    for y, packed in zip(reversed(strategy.moves), reversed(survivors_log)):
+        # u = encode_config(decode_config(t) - y), digit by digit on ints:
+        # going through ModVector costs several times more per round.
+        u, rest, weight = 0, t, 1
+        for e in y.entries:
+            rest, digit = divmod(rest, m)
+            u += (digit - e) % m * weight
+            weight *= m
+        # np.packbits keeps state i at bit 7 - i % 8 of byte i // 8.
+        for g, pred in enumerate(tables._pinv[:, u].tolist()):
+            if packed.item(pred >> 3) >> (7 - (pred & 7)) & 1:
+                break
+        perms_rev.append(g)
+        t = pred
     return Witness(start=decode_config(t, n, m), perms=tuple(reversed(perms_rev)))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ from spintable import GameSpec, Strategy, generator_set, mod_vector, simulate_tr
 from spintable import io as sio
 from spintable.cli import run
 from spintable.refute import build_certificate
-from spintable.verify import Verdict, Witness, verify_dense, verify_strategy
+from spintable.verify import BenchResult, Verdict, Witness, verify_dense, verify_strategy
 
 
 def test_strategy_round_trip_is_byte_stable():
@@ -342,6 +343,19 @@ def test_cli_play_survival(monkeypatch, tmp_path, capsys):
     assert "SURVIVED" in out
 
 
+@pytest.mark.parametrize(
+    "start, message",
+    [("--start=5,7", "[0, 2)"), ("--start=-1,0", "[0, 2)"), ("--start=1,0,1", "wrong length")],
+)
+def test_cli_play_rejects_bad_start(start, message, monkeypatch, capsys):
+    # Entries outside [0, m) are malformed input, not reduced mod m.
+    monkeypatch.setattr("sys.stdin", io.StringIO("0\n" * 4))
+    assert run(["play", "-n", "2", "-m", "2", "--rotations", start]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "config:" not in captured.out
+
+
 def test_cli_bench_reports_all_backends(capsys):
     assert run(["bench", "-n", "4", "-m", "2", "--rotations", "--repeat", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -351,6 +365,7 @@ def test_cli_bench_reports_all_backends(capsys):
         assert r["wins"] is True
         assert r["transitions_per_second"] > 0
         assert r["states"] == 16 and r["generators"] == 4 and r["steps"] == 15
+        assert list(r) == [f.name for f in dataclasses.fields(BenchResult)]
 
 
 def test_cli_requires_exactly_one_generator_source():
