@@ -8,15 +8,12 @@ can win.
 
 from .errors import CapExceeded, SolvableSpec, SpintableError, UnsolvableSpec
 from .game import (
-    BeliefState,
     GameSpec,
     Strategy,
     TraceResult,
     act,
-    belief_step,
     decode_config,
     encode_config,
-    leading_index,
     simulate_trace,
 )
 from .kernels import available_backends, default_backend_name
@@ -28,7 +25,6 @@ from .linalg import (
     fixed_space,
     mod_vector,
     solve_in_span,
-    vp,
 )
 from .perm import (
     GeneratorSet,

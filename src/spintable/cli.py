@@ -15,9 +15,9 @@ from pathlib import Path
 
 from . import io as sio
 from .errors import SolvableSpec, SpintableError, UnsolvableSpec
-from .game import GameSpec, Strategy, act, zero_config
+from .game import GameSpec, Strategy, act
 from .kernels import available_backends, default_backend_name
-from .linalg import mod_vector
+from .linalg import mod_vector, zero_vector
 from .perm import rotation_generators
 from .refute import adversary_move, build_certificate, initial_bad_config, is_semi_homogeneous
 from .solve import decide, synth
@@ -39,6 +39,10 @@ def _count_at_least(low: int):
     return parse
 
 
+_THREADS_HELP = (
+    "worker threads for dense rounds, capped at the CPUs this process may use;"
+    " the verdict does not depend on it"
+)
 _NONNEGATIVE = _count_at_least(0)
 _POSITIVE = _count_at_least(1)
 
@@ -94,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("-o", metavar="PATH", help="write the verdict here")
     p_verify.add_argument("--witness", action="store_true", help="extract a losing line")
     p_verify.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP, help="state cap")
-    p_verify.add_argument("--threads", type=_POSITIVE, default=1)
+    p_verify.add_argument("--threads", type=_POSITIVE, default=1, help=_THREADS_HELP)
     p_verify.add_argument("--backend", choices=available_backends())
 
     p_refute = sub.add_parser("refute", help="emit a certificate and fuzz its invariant")
@@ -117,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="which kernel to time (default: every available one)",
     )
-    p_bench.add_argument("--threads", type=_POSITIVE, default=1)
+    p_bench.add_argument("--threads", type=_POSITIVE, default=1, help=_THREADS_HELP)
     p_bench.add_argument("--repeat", type=_POSITIVE, default=3)
     p_bench.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
     p_bench.add_argument("-o", metavar="PATH", help="write the report here")
@@ -208,7 +212,7 @@ def _cmd_play(args) -> int:
         x = mod_vector(spec.m, entries)
     else:
         rng = random.Random(args.seed)
-        x = zero_config(spec)
+        x = zero_vector(spec.m, spec.n)
         while x.is_zero() and spec.state_count > 1:
             x = mod_vector(spec.m, (rng.randrange(spec.m) for _ in range(spec.n)))
     print("you are the adversary: pick a permutation each round, then the move is added")

@@ -1,4 +1,4 @@
-"""Game semantics: configurations, moves, and exact belief tracking.
+"""Game semantics: configurations, moves, and replaying one adversary line.
 
 A round is canonically "permute, then add the move, then check for zero",
 and the start configuration is itself a checkpoint.  The alternative order
@@ -13,7 +13,7 @@ as base-m integers with position 0 least significant, so the all-zero
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .linalg import ModVector, ZpBasis, solve_in_span, zero_vector
+from .linalg import ModVector
 from .perm import GeneratorSet, Permutation
 
 
@@ -90,52 +90,6 @@ def act(g: Permutation, x: ModVector) -> ModVector:
 
 
 @dataclass(frozen=True)
-class BeliefState:
-    """Configurations still consistent with "the player has not won yet".
-
-    Stored as encoded integers; the zero configuration is stripped on
-    construction because reaching it means that branch already won.
-    """
-
-    n: int
-    m: int
-    codes: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "codes", frozenset(self.codes) - {0})
-
-    @classmethod
-    def from_configs(cls, n: int, m: int, configs: Iterable[ModVector]) -> "BeliefState":
-        return cls(n, m, frozenset(encode_config(x) for x in configs))
-
-    @classmethod
-    def full(cls, n: int, m: int) -> "BeliefState":
-        """Every configuration except the already-won zero."""
-        return cls(n, m, frozenset(range(m**n)))
-
-    def configs(self) -> list[ModVector]:
-        return [decode_config(c, self.n, self.m) for c in sorted(self.codes)]
-
-    def __len__(self):
-        return len(self.codes)
-
-
-def belief_step(B: BeliefState, y: ModVector, S: GeneratorSet) -> BeliefState:
-    """One round of exact belief tracking: permute by every g in S, add y,
-    drop the zero configuration."""
-    if y.n != B.n or y.m != B.m:
-        raise ValueError("move does not match the belief state's dimensions")
-    if S.n != B.n:
-        raise ValueError("generator set does not match the belief state")
-    out: set[int] = set()
-    for code in B.codes:
-        x = decode_config(code, B.n, B.m)
-        for g in S.perms:
-            out.add(encode_config(act(g, x) + y))
-    return BeliefState(B.n, B.m, frozenset(out))
-
-
-@dataclass(frozen=True)
 class TraceResult:
     """One concrete adversary line, fully replayed."""
 
@@ -168,20 +122,3 @@ def simulate_trace(
         configs.append(x)
         won = won or x.is_zero()
     return TraceResult(tuple(configs), won)
-
-
-def leading_index(x: ModVector, basis: ZpBasis) -> Optional[int]:
-    """Largest basis index with a nonzero coefficient in x's expansion,
-    or None for the zero vector."""
-    coeffs = solve_in_span(list(basis.vectors), x)
-    if coeffs is None:
-        raise ValueError("vector is not in the basis span; basis is not full rank?")
-    lead = None
-    for j, c in enumerate(coeffs):
-        if c != 0:
-            lead = j
-    return lead
-
-
-def zero_config(spec: GameSpec) -> ModVector:
-    return zero_vector(spec.m, spec.n)

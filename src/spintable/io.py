@@ -151,14 +151,24 @@ def dump_certificate(cert: UnsolvabilityCertificate) -> str:
 
 
 def load_certificate(text: str) -> UnsolvabilityCertificate:
+    """Parse a certificate: p and q exact integers, c an array of exact
+    integers, and blocks arrays of positions in [0, len(c))."""
     doc = json.loads(text)
+    _require(isinstance(doc, dict), "certificate document must be an object")
     for key in ("p", "q", "c", "blocks"):
         _require(key in doc, f"certificate document missing {key!r}")
+    p, q, c, blocks = doc["p"], doc["q"], doc["c"], doc["blocks"]
+    _require(type(p) is int and type(q) is int, "p and q must be integers")
+    _require(isinstance(c, list) and set(map(type, c)) <= {int}, "c must be an array of integers")
+    _require(
+        isinstance(blocks, list) and set(map(type, blocks)) <= {list},
+        "blocks must be an array of arrays",
+    )
+    entries = list(chain.from_iterable(blocks))
+    _require(set(map(type, entries)) <= {int}, "block entries must be integers")
+    _require(all(0 <= i < len(c) for i in entries), f"block entries must lie in [0, {len(c)})")
     return UnsolvabilityCertificate(
-        p=doc["p"],
-        q=doc["q"],
-        c=Permutation(tuple(doc["c"])),
-        blocks=tuple(tuple(b) for b in doc["blocks"]),
+        p=p, q=q, c=Permutation(tuple(c)), blocks=tuple(map(tuple, blocks))
     )
 
 

@@ -3,7 +3,9 @@
 Everything here is small and exact: matrices are NumPy int64 arrays reduced
 mod p after every operation, pivoting always takes the lowest usable index,
 and kernel/solution bases are the canonical reduced-echelon ones so results
-are reproducible run to run.
+are reproducible run to run.  The invariant-chain basis of a p-group grows
+one vector at a time through a single quotient map: the first canonical
+vector that every generator fixes modulo the span of those chosen so far.
 """
 
 from dataclasses import dataclass
@@ -11,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .perm import GeneratorSet, Permutation, closure
+from .perm import GeneratorSet
 
 
 @dataclass(frozen=True)
@@ -69,17 +71,6 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def vp(i: int, p: int) -> int:
-    """p-adic valuation: the largest e with p^e dividing i."""
-    if i <= 0:
-        raise ValueError("valuation needs a positive integer")
-    e = 0
-    while i % p == 0:
-        i //= p
-        e += 1
-    return e
-
-
 def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p; returns (matrix, pivot columns)."""
     m = mat.copy() % p
@@ -121,24 +112,6 @@ def _kernel_basis(mat: np.ndarray, p: int) -> list[np.ndarray]:
             v[pc] = (-r[row, f]) % p
         basis.append(v % p)
     return basis
-
-
-def _matrix_inverse(mat: np.ndarray, p: int) -> np.ndarray:
-    n = mat.shape[0]
-    aug = np.concatenate([mat % p, np.eye(n, dtype=np.int64)], axis=1)
-    r, pivots = _rref(aug, p)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular mod p")
-    return r[:, n:] % p
-
-
-def _perm_matrix(g: Permutation) -> np.ndarray:
-    """Matrix of the coordinate action: (P x)[g(i)] = x[i]."""
-    n = g.n
-    m = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        m[g.mapping[i], i] = 1
-    return m
 
 
 @dataclass(frozen=True)
@@ -223,83 +196,53 @@ def solve_in_span(vectors: Sequence[ModVector], target: ModVector) -> Optional[l
     return coeffs
 
 
-def fixed_space(S: GeneratorSet, p: int) -> list[ModVector]:
-    """Basis of the vectors in Z_p^n fixed by every generator in S.
+def _fixed_modulo(S: GeneratorSet, chain: np.ndarray, p: int) -> np.ndarray:
+    """Canonical basis, as rows, of the vectors that vanish on the chain's
+    pivot columns and that every generator fixes modulo the chain's span.
 
-    Fixed by S is the same as fixed by the whole generated group, so the
-    kernel of the stacked (P_g - I) blocks is all we need.  May be empty.
+    Row-reduce the chain to R with pivot columns P and free columns F.  A
+    vector w lies in the span iff w_F = R_F^T w_P, so Q w = w_F - R_F^T w_P
+    is the quotient map.  Since P_g e_f = e_{g(f)}, generator g acts on the
+    quotient as Q[:, g(F)], and the fixed vectors are the kernel of the
+    stacked Q[:, g(F)] - I, lifted onto F.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    n = S.n
-    blocks = []
-    for g in S.perms:
-        if not g.is_identity():
-            blocks.append((_perm_matrix(g) - np.eye(n, dtype=np.int64)) % p)
-    if not blocks:
-        return [ModVector(p, tuple(int(v) for v in np.eye(n, dtype=np.int64)[i])) for i in range(n)]
-    stacked = np.concatenate(blocks, axis=0)
-    return [ModVector(p, tuple(int(x) for x in v)) for v in _kernel_basis(stacked, p)]
+    r, pivots = _rref(chain, p)
+    free = [c for c in range(S.n) if c not in pivots]
+    eye = np.eye(len(free), dtype=np.int64)
+    quotient = np.zeros((len(free), S.n), dtype=np.int64)
+    quotient[:, free] = eye
+    quotient[:, pivots] = -r[: len(pivots), free].T
+    images = np.array([g.mapping for g in S.perms])[:, free]
+    actions = quotient[:, images].transpose(1, 0, 2) - eye
+    kernel = _kernel_basis(actions.reshape(-1, len(free)) % p, p)
+    lifts = np.zeros((len(kernel), S.n), dtype=np.int64)
+    lifts[:, free] = np.array(kernel, dtype=np.int64).reshape(len(kernel), len(free))
+    return lifts
 
 
-def _complete_basis(chain: list[np.ndarray], n: int, p: int) -> np.ndarray:
-    """Extend the chain to an invertible n x n matrix (columns) by adding
-    the unit vectors at the chain's free (non-pivot) coordinates, lowest
-    index first."""
-    rows = (
-        np.array(chain, dtype=np.int64).reshape(len(chain), n)
-        if chain
-        else np.zeros((0, n), dtype=np.int64)
-    )
-    _, pivots = _rref(rows, p)
-    cols = list(chain)
-    for i in range(n):
-        if i not in pivots:
-            e = np.zeros(n, dtype=np.int64)
-            e[i] = 1
-            cols.append(e)
-    return np.array(cols, dtype=np.int64).T % p
+def fixed_space(S: GeneratorSet, p: int) -> list[ModVector]:
+    """Basis of the vectors in Z_p^n fixed by every generator in S: the
+    quotient by the empty chain.  Fixed by S is the same as fixed by the
+    whole generated group.  May be empty."""
+    empty = np.zeros((0, S.n), dtype=np.int64)
+    return [ModVector(p, tuple(v)) for v in _fixed_modulo(S, empty, p).tolist()]
 
 
 def fixed_chain_basis(S: GeneratorSet, p: int) -> ZpBasis:
     """An ordered basis where each generator moves x_j only within the span
-    of x_0 .. x_{j-1}.
+    of x_0 .. x_{j-1}: x_j is the first canonical vector that every
+    generator fixes modulo x_0 .. x_{j-1}.
 
-    Requires the generated group to be a p-group: then every induced action
-    on a quotient of Z_p^n has a nonzero fixed vector, and we harvest one per
-    round.  Concretely, the chosen vectors are extended to a full basis, each
-    generator is rewritten in those coordinates, the common fixed space of
-    the quotient blocks supplies the next vector, and its zero-extension
-    preimage joins the chain.
+    Such a vector exists at every step iff the generated group is a p-group
+    (a group acting unitriangularly on a flag is one), so any other group
+    raises ValueError at the first step where none is fixed.
     """
-    G = closure(S)
-    order = G.order
-    while order > 1:
-        if order % p != 0:
-            raise ValueError(f"group order {G.order} is not a power of {p}")
-        order //= p
-    n = S.n
-    perm_mats = [_perm_matrix(g) for g in S.perms]
-    chain: list[np.ndarray] = []
-    while len(chain) < n:
-        j = len(chain)
-        basis_mat = _complete_basis(chain, n, p)
-        basis_inv = _matrix_inverse(basis_mat, p)
-        quotient_blocks = []
-        for pm in perm_mats:
-            action = (basis_inv @ pm @ basis_mat) % p
-            if j and np.any(action[j:, :j]):
-                raise AssertionError("chain prefix is not invariant; construction bug")
-            d = action[j:, j:]
-            if not np.array_equal(d, np.eye(n - j, dtype=np.int64)):
-                quotient_blocks.append((d - np.eye(n - j, dtype=np.int64)) % p)
-        if quotient_blocks:
-            kernel = _kernel_basis(np.concatenate(quotient_blocks, axis=0), p)
-        else:
-            kernel = [np.eye(n - j, dtype=np.int64)[0]]
-        if not kernel:
-            raise ValueError("no fixed vector in quotient; group is not a p-group")
-        lift = (basis_mat[:, j:] @ kernel[0]) % p
-        chain.append(lift)
-    vectors = tuple(ModVector(p, tuple(int(x) for x in v)) for v in chain)
-    return ZpBasis(p, vectors)
+    chain = np.zeros((0, S.n), dtype=np.int64)
+    for _ in range(S.n):
+        fixed = _fixed_modulo(S, chain, p)
+        if not len(fixed):
+            raise ValueError(f"no fixed vector in a quotient; the group is not a {p}-group")
+        chain = np.concatenate([chain, fixed[:1]])
+    return ZpBasis(p, tuple(ModVector(p, tuple(v)) for v in chain.tolist()))

@@ -20,6 +20,7 @@ cost Theta(m^2n) on any winner of optimal length, which is what the
 structural proofs avoid.
 """
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,7 +32,6 @@ from . import kernels
 from .errors import CapExceeded
 from .game import GameSpec, Strategy, decode_config, encode_config
 from .linalg import ModVector
-from .perm import inverse
 from .prove import proves_win
 
 DEFAULT_STATE_CAP = 1 << 24
@@ -57,14 +57,15 @@ class Verdict:
 
 
 def _outer_codes(luts: np.ndarray) -> np.ndarray:
-    """The flat table whose entry t is sum_i luts[i, digit_i(t)], where
-    digit_i(t) is the i-th base-m digit of t and luts has shape (n, m): one
-    nested outer sum with position 0 innermost, which never decodes a state
-    into digits and does no gathers."""
-    out = luts[-1]
-    for lut in reversed(luts[:-1]):
-        out = np.add.outer(out, lut)
-    return out.ravel()
+    """The (G, m^n) tables whose entry [k, t] is sum_i luts[k, i, digit_i(t)],
+    where digit_i(t) is the i-th base-m digit of t and luts has shape
+    (G, n, m): one nested outer sum per table, batched over k, with position
+    0 innermost, which never decodes a state into digits and does no
+    gathers."""
+    out = luts[:, -1]
+    for i in range(luts.shape[1] - 2, -1, -1):
+        out = (out[:, :, None] + luts[:, i, None, :]).reshape(len(luts), -1)
+    return out
 
 
 def _resolve_backend(backend):
@@ -80,7 +81,8 @@ class TransitionTables:
 
     Every table maps a state to the sum over positions of a per-position
     lookup of that position's digit, and is built as one outer sum of the
-    lookups.  Permutation tables are built once.  Move tables are rebuilt
+    lookups.  Permutation tables are built once, for every generator in one
+    batched outer sum.  Move tables are rebuilt
     per distinct move (plain XOR when m = 2), so strategies full of unique
     random moves stay cheap.  Fully composed per-round tables are cached for
     the bounded move vocabularies of synthesized strategies.
@@ -98,20 +100,16 @@ class TransitionTables:
         self._comp_cache: dict[tuple, np.ndarray] = {}
 
     def _build_perm_tables(self) -> np.ndarray:
-        gens = self.spec.S.perms
-        pinv = np.empty((len(gens), self.size), dtype=np.int32)
-        for gi, g in enumerate(gens):
-            # Digit i of a state sits at position g^-1(i) of its preimage.
-            targets = np.array(inverse(g).mapping)
-            pinv[gi] = _outer_codes(self._residues * self._weights[targets])
-        return pinv
+        # Digit i of a state sits at position g^-1(i) of its preimage.
+        targets = np.argsort([g.mapping for g in self.spec.S.perms], axis=1)
+        return _outer_codes(self._residues * self._weights[targets])
 
     def move_table(self, y: ModVector) -> np.ndarray:
         """ainv[t] = encoding of (decode(t) - y): the pre-move state."""
         if self.m == 2:
             return self._codes ^ np.int32(encode_config(y))
         shifts = np.array(y.entries, dtype=np.int32)[:, None]
-        return _outer_codes((self._residues - shifts) % self.m * self._weights)
+        return _outer_codes(((self._residues - shifts) % self.m * self._weights)[None])[0]
 
     def composed_cached(self, y: ModVector, order: str) -> Optional[np.ndarray]:
         """The cached per-round table, or None when the cache will not hold
@@ -146,6 +144,14 @@ def _run(fn, args, size: int, pool: Optional[ThreadPoolExecutor], threads: int):
     futures = [pool.submit(fn, *args, lo, hi) for lo, hi in bounds]
     for f in futures:
         f.result()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _check_request(spec: GameSpec, want_witness: bool, state_cap: int, order: str):
@@ -207,6 +213,8 @@ def verify_dense(
     empties.  With want_witness, the survivor set entering each round is kept
     as a bitmap, and a losing run walks back through those bitmaps from a
     final survivor to one explicit surviving (start, generator choices) line.
+    Rounds are split over at most `threads` worker threads, capped at the
+    CPUs this process may use; the verdict does not depend on the split.
     """
     spec = strategy.spec
     size = spec.state_count
@@ -224,6 +232,7 @@ def verify_dense(
 
     n_moves = len(strategy.moves)
     survivors_log: list[np.ndarray] = []
+    threads = min(threads, _usable_cpus())
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         for k, y in enumerate(strategy.moves, start=1):

@@ -2,7 +2,8 @@
 
 These deliberately share no code with the package: the game-tree evaluator
 recurses over explicit adversary choices, span membership is decided by
-enumerating every coefficient tuple, and orbits come from plain BFS.
+enumerating every coefficient tuple, orbits come from plain BFS, and belief
+sets are Python sets of configuration tuples.
 """
 
 import itertools
@@ -18,6 +19,31 @@ def apply_perm(mapping, x):
 
 def add_mod(x, y, m):
     return tuple((a + b) % m for a, b in zip(x, y))
+
+
+def vp(i, p):
+    """p-adic valuation: the largest e with p^e dividing i."""
+    if i <= 0:
+        raise ValueError("valuation needs a positive integer")
+    e = 0
+    while i % p == 0:
+        i //= p
+        e += 1
+    return e
+
+
+def configs(n, m):
+    """Every configuration of Z_m^n as a tuple, in code order: position 0
+    is the least significant base-m digit."""
+    return [tuple(reversed(x)) for x in itertools.product(range(m), repeat=n)]
+
+
+def belief_step(belief, move, generators, m):
+    """One round of sparse belief tracking: map every configuration through
+    every generator, add the move, and drop zero, where that line has won."""
+    out = {add_mod(apply_perm(g, x), tuple(move), m) for x in belief for g in generators}
+    out.discard((0,) * len(move))
+    return out
 
 
 def game_tree_wins(n, m, generators, moves):
@@ -41,16 +67,7 @@ def game_tree_wins(n, m, generators, moves):
                 return False
         return True
 
-    for code in range(m**n):
-        x = []
-        c = code
-        for _ in range(n):
-            x.append(c % m)
-            c //= m
-        x = tuple(x)
-        if x != zero and not forced_win(x, 0):
-            return False
-    return True
+    return all(x == zero or forced_win(x, 0) for x in configs(n, m))
 
 
 def brute_force_in_span(vectors, target, p):

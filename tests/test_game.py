@@ -4,17 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from conftest import rot_spec
+from oracles import belief_step, configs
 from spintable import (
-    BeliefState,
     GameSpec,
     act,
-    belief_step,
     binomial_basis,
     closure,
     decode_config,
     encode_config,
     generator_set,
-    leading_index,
     mod_vector,
     perm,
     rotation_generators,
@@ -63,53 +61,47 @@ def test_encode_decode_roundtrip():
             assert encode_config(decode_config(code, n, m)) == code
 
 
+# The sparse belief step is the tests' own reference (tests/oracles.py);
+# these pin its semantics by hand before other tests compare against it.
+
+
 def test_belief_step_hand_enumerated():
-    S = generator_set(2, [[0, 1], [1, 0]])
-    B = BeliefState.from_configs(2, 2, [mod_vector(2, [0, 1])])
-    out = belief_step(B, mod_vector(2, [1, 0]), S)
-    assert out.codes == frozenset({encode_config(mod_vector(2, [1, 1]))})
+    swap = [[0, 1], [1, 0]]
+    assert belief_step({(0, 1)}, (1, 0), swap, 2) == {(1, 1)}
 
 
 def test_belief_step_empty():
-    S = rotation_generators(3)
-    B = BeliefState(3, 2, frozenset())
-    assert len(belief_step(B, mod_vector(2, [1, 0, 1]), S)) == 0
+    gens = [g.mapping for g in rotation_generators(3).perms]
+    assert belief_step(set(), (1, 0, 1), gens, 2) == set()
 
 
 def test_belief_step_identity_noop():
-    S = generator_set(2, [[0, 1]])
-    B = BeliefState(2, 3, frozenset({1, 5, 7}))
-    out = belief_step(B, mod_vector(3, [0, 0]), S)
-    assert out.codes == B.codes
+    belief = {(1, 0), (2, 1), (1, 2)}
+    assert belief_step(belief, (0, 0), [[0, 1]], 3) == belief
 
 
 def test_belief_state_never_contains_zero():
-    B = BeliefState(2, 2, frozenset({0, 1, 2}))
-    assert 0 not in B.codes
-    S = rotation_generators(2)
-    out = belief_step(B, mod_vector(2, [1, 1]), S)
-    assert 0 not in out.codes
+    gens = [g.mapping for g in rotation_generators(2).perms]
+    out = belief_step({(0, 0), (1, 0), (0, 1)}, (1, 1), gens, 2)
+    assert (0, 0) not in out
 
 
 def test_belief_growth_bounds():
     rng = np.random.default_rng(3)
-    S = rotation_generators(3)
-    group_S = S  # the full rotation set is itself a group
-    B = BeliefState.full(3, 3)
+    gens = [g.mapping for g in rotation_generators(3).perms]
+    belief = set(configs(3, 3)[1:])
     for _ in range(10):
-        y = mod_vector(3, rng.integers(0, 3, size=3).tolist())
-        nxt = belief_step(B, y, group_S)
-        assert len(nxt) <= len(B) * len(group_S)
-        assert len(nxt) <= len(B)  # S is a whole group
-        B = nxt
+        y = tuple(rng.integers(0, 3, size=3).tolist())
+        nxt = belief_step(belief, y, gens, 3)
+        assert len(nxt) <= len(belief) * len(gens)
+        assert len(nxt) <= len(belief)  # the rotations are a whole group
+        belief = nxt
 
 
 def test_belief_shrinks_only_by_zero_removal_for_identity_only():
-    S = generator_set(2, [[0, 1]])
-    B = BeliefState.full(2, 4)
-    y = mod_vector(4, [1, 2])
-    nxt = belief_step(B, y, S)
-    assert len(B) - 1 <= len(nxt) <= len(B)
+    belief = set(configs(2, 4)[1:])
+    nxt = belief_step(belief, (1, 2), [[0, 1]], 4)
+    assert len(belief) - 1 <= len(nxt) <= len(belief)
 
 
 def test_simulate_trace_start_zero():
@@ -141,13 +133,6 @@ def test_simulate_trace_length_mismatch():
 def test_gamespec_requires_identity():
     with pytest.raises(ValueError):
         GameSpec(2, 2, generator_set(2, [[1, 0]]))
-
-
-def test_leading_index_examples():
-    basis = binomial_basis(2, 4)
-    assert leading_index(mod_vector(2, [0, 0, 0, 0]), basis) is None
-    assert leading_index(mod_vector(2, [0, 0, 0, 1]), basis) == 3
-    assert leading_index(mod_vector(2, [1, 0, 0, 0]), basis) == 3
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 4), (2, 8), (3, 3), (3, 9)])

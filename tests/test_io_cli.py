@@ -22,6 +22,8 @@ def test_strategy_round_trip_is_byte_stable():
     assert sio.dump_strategy(again) == text
 
 
+KLEIN = generator_set(4, [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+
 # sha256 of dump_strategy(synth(spec)): the strategy documents are byte-stable.
 GOLDEN_STRATEGY_SHA256 = [
     (rot_spec(4, 2), "2ef5fe4a8c130ee5147c5090b680bc5617d83f79cadb88aaf79386175ffa688a"),
@@ -33,13 +35,40 @@ GOLDEN_STRATEGY_SHA256 = [
         GameSpec(4, 3, generator_set(4, [[0, 1, 2, 3]])),
         "af739d2c25381ca8774e42b7cb1b05ab7480022241dbe8165c0c0c678683d45c",
     ),
+    # Ruler schedules over invariant-chain bases, and one lift over such a base.
+    (
+        GameSpec(4, 2, generator_set(4, [[0, 1, 2, 3], [1, 0, 2, 3]])),
+        "206129306b4011c183e26ee2fc27b136e634735f400b579fbf3fbe0e8154782c",
+    ),
+    (GameSpec(4, 2, KLEIN), "ba8c0252920a9b08d4ae729d05f4c58c7816753acfd64d1894e3e16ec38161ba"),
+    (
+        GameSpec(4, 2, generator_set(4, [[0, 1, 2, 3], [1, 2, 3, 0], [3, 2, 1, 0]])),
+        "91e6d9cec1f85ebfbca5bbaf9d4852e13c462a831db44c8ddaeceeff9577fb8e",
+    ),
+    (GameSpec(4, 4, KLEIN), "bd74d2a6465f6b8659a20d31bbcdd05aeeb6963107dc417ff86039874fbccca9"),
+    (
+        GameSpec(6, 3, generator_set(6, [[0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3]])),
+        "0756b034737a8a848e06fc5d9b7945fd41949e3cc497047f5aff7b58f9503ee1",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "spec,digest",
     GOLDEN_STRATEGY_SHA256,
-    ids=["rot-4-2", "rot-8-4", "rot-3-27", "rot-9-3", "rot-7-7", "trivial-4-3"],
+    ids=[
+        "rot-4-2",
+        "rot-8-4",
+        "rot-3-27",
+        "rot-9-3",
+        "rot-7-7",
+        "trivial-4-3",
+        "swap01-4-2",
+        "klein-4-2",
+        "dihedral-4-2",
+        "klein-4-4",
+        "diagonal-c3-6-3",
+    ],
 )
 def test_strategy_dump_golden_digest(spec, digest):
     text = sio.dump_strategy(synth(spec))
@@ -225,6 +254,38 @@ def test_certificate_round_trip():
     again = sio.load_certificate(text)
     assert again == cert
     assert sio.dump_certificate(again) == text
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("c", [1.0, 0.0]),
+        ("c", "10"),
+        ("p", 2.0),
+        ("q", True),
+        ("blocks", [[0, 7]]),
+        ("blocks", [[0, -1]]),
+        ("blocks", [[0, 1.0]]),
+        ("blocks", [0, 1]),
+    ],
+    ids=[
+        "c-floats",
+        "c-string",
+        "p-float",
+        "q-bool",
+        "block-beyond-n",
+        "block-negative",
+        "block-float",
+        "blocks-not-arrays",
+    ],
+)
+def test_certificate_load_rejects_malformed(key, value):
+    # The certificate for 2 positions mod 3: c = (0 1), blocks [[0, 1]].
+    doc = json.loads(sio.dump_certificate(build_certificate(rot_spec(2, 3))))
+    assert (doc["c"], doc["blocks"]) == ([1, 0], [[0, 1]])
+    doc[key] = value
+    with pytest.raises(ValueError):
+        sio.load_certificate(json.dumps(doc))
 
 
 def test_cli_decide_exit_codes(capsys):

@@ -1,8 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from oracles import brute_force_in_span
+from oracles import brute_force_in_span, vp
 from spintable import (
     ModVector,
     ZpBasis,
@@ -14,7 +16,6 @@ from spintable import (
     mod_vector,
     rotation_generators,
     solve_in_span,
-    vp,
 )
 from spintable.game import act
 from spintable.perm import perm
@@ -233,3 +234,84 @@ def test_fixed_chain_matches_group_order_growth():
     basis = fixed_chain_basis(S, 2)
     assert len(basis.vectors) == 4
     assert chain_property_holds(basis.vectors, S, 2)
+
+
+def _wreath_element(rng, p, a):
+    """A random element of the Sylow p-subgroup of Sym(p^a): digit j of a
+    position (base p) is shifted by an amount chosen per value of the digits
+    below it."""
+    shifts = {}
+    images = []
+    for x in range(p**a):
+        digits = [x // p**j % p for j in range(a)]
+        image = 0
+        for j, d in enumerate(digits):
+            key = (j, tuple(digits[:j]))
+            if key not in shifts:
+                shifts[key] = rng.randrange(p)
+            image += (d + shifts[key]) % p * p**j
+        images.append(image)
+    return images
+
+
+def _random_p_group(rng):
+    """(n, p, generators) of a p-group on p to 9 positions: per generator,
+    one random wreath element on each of a fixed set of blocks of p^a
+    positions, all conjugated by one random relabelling of the positions."""
+    p = rng.choice([2, 3, 5])
+    n = rng.randint(p, 9)
+    exponents = []
+    while sum(p**a for a in exponents) < n:
+        left = n - sum(p**a for a in exponents)
+        exponents.append(rng.choice([a for a in (1, 2, 3) if p**a <= left] or [0]))
+    relabel = rng.sample(range(n), n)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        images = []
+        for a in exponents:
+            offset = len(images)
+            images += [offset + x for x in _wreath_element(rng, p, a)]
+        conjugate = [0] * n
+        for i, x in enumerate(images):
+            conjugate[relabel[i]] = relabel[x]
+        gens.append(conjugate)
+    return n, p, gens
+
+
+# sha256 of the JSON list of fixed_chain_basis vectors over 120 seeded random
+# p-groups, 106 of them nontrivial.  It was computed with the earlier
+# construction, which completed the chain to a full basis and conjugated every
+# generator into it; the quotient-map construction must give the same vectors,
+# and so the same fixed-chain strategies.
+FIXED_CHAIN_SWEEP_SHA256 = "cdc5e3790eced3171a2dccb50a66d5b45f0c63df5425652e21d9745bd4475134"
+
+
+def test_fixed_chain_basis_sweep_is_pinned():
+    rng = random.Random(2024)
+    bases = []
+    for _ in range(120):
+        n, p, gens = _random_p_group(rng)
+        S = generator_set(n, gens)
+        basis = fixed_chain_basis(S, p)
+        assert chain_property_holds(basis.vectors, S, p)
+        bases.append([list(v.entries) for v in basis.vectors])
+    text = json.dumps(bases, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == FIXED_CHAIN_SWEEP_SHA256
+
+
+def test_fixed_chain_basis_exists_exactly_for_p_groups():
+    # A group acting unitriangularly on a flag is a p-group, so on any other
+    # group some quotient has no fixed vector.
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        S = generator_set(n, [rng.sample(range(n), n) for _ in range(rng.randint(1, 3))])
+        for p in (2, 3):
+            order = closure(S).order
+            while order % p == 0:
+                order //= p
+            if order == 1:
+                assert chain_property_holds(fixed_chain_basis(S, p).vectors, S, p)
+            else:
+                with pytest.raises(ValueError):
+                    fixed_chain_basis(S, p)

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import rot_spec
-from oracles import gray_moves, lifted_moves
+from oracles import gray_moves, lifted_moves, vp
 from spintable import (
     CapExceeded,
     GameSpec,
@@ -18,7 +18,6 @@ from spintable import (
     synth,
     synth_mod_p,
     verify_strategy,
-    vp,
 )
 from spintable.solve import ruler_valuations
 

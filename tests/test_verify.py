@@ -5,13 +5,12 @@ import random
 import pytest
 
 from conftest import rot_spec
-from oracles import game_tree_wins
+from oracles import belief_step, configs, game_tree_wins
 from spintable import (
-    BeliefState,
     CapExceeded,
     GameSpec,
     Strategy,
-    belief_step,
+    decide,
     generator_set,
     mod_vector,
     simulate_trace,
@@ -206,8 +205,8 @@ def test_witness_with_40320_generators(backend):
 
 
 def test_dense_survivors_match_sparse_belief_steps(backend):
-    # Drive the spec-level belief-step operation alongside the dense kernel
-    # and require identical survivor sets after every round.
+    # Drive the oracle's sparse belief step alongside the dense kernel and
+    # require identical survivor sets after every round.
     import numpy as np
 
     from spintable import kernels
@@ -219,11 +218,12 @@ def test_dense_survivors_match_sparse_belief_steps(backend):
         tables = TransitionTables(spec)
         kern = kernels.get_backend(backend)
         size = spec.state_count
+        gens = [g.mapping for g in spec.S.perms]
         src = np.ones(size, dtype=np.uint8)
         src[0] = 0
-        B = BeliefState.full(spec.n, spec.m)
+        belief = set(configs(spec.n, spec.m)[1:])
         for i, y in enumerate(strategy.moves):
-            B = belief_step(B, y, spec.S)
+            belief = belief_step(belief, y.entries, gens, spec.m)
             dst = np.empty_like(src)
             if i % 2 == 0:
                 kern.step(src, dst, tables._compose(y, ORDER_PERMUTE_MOVE), 0, size)
@@ -231,7 +231,76 @@ def test_dense_survivors_match_sparse_belief_steps(backend):
                 kern.step_indirect(src, dst, tables._pinv, tables.move_table(y), 0, size)
             dst[0] = 0
             src = dst
-            assert set(np.flatnonzero(src).tolist()) == set(B.codes)
+            survivors = {decode_config(t, spec.n, spec.m).entries for t in np.flatnonzero(src)}
+            assert survivors == belief
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: f"n{s.n}m{s.m}g{len(s.S)}")
+def test_steps_checked_is_the_round_the_oracle_empties(spec):
+    # Without early exit, a win reports the first round after which no
+    # configuration survives, and a loss the strategy length, in both round
+    # orders.  Move-permute survivors are the generator images of the
+    # canonical ones, so both orders empty in the same round.
+    # Random strategies rarely win, so winners also come from a synthesized
+    # winner between a random prefix and a random suffix.
+    rng = random.Random(40_000 + spec.n * 100 + spec.m)
+    gens = [g.mapping for g in spec.S.perms]
+    strategies = [
+        random_strategy(spec, rng.randrange(0, 2 * spec.state_count), rng) for _ in range(10)
+    ]
+    if decide(spec).solvable:
+        winner = synth(spec).moves
+        for _ in range(5):
+            prefix = random_strategy(spec, rng.randrange(0, spec.state_count), rng).moves
+            suffix = random_strategy(spec, rng.randrange(0, 4), rng).moves
+            strategies.append(Strategy(spec, prefix + winner + suffix))
+    for strategy in strategies:
+        belief = set(configs(spec.n, spec.m)[1:])
+        expected = len(strategy.moves)
+        for k, y in enumerate(strategy.moves, start=1):
+            belief = belief_step(belief, y.entries, gens, spec.m)
+            if not belief:
+                expected = k
+                break
+        for order in (ORDER_PERMUTE_MOVE, ORDER_MOVE_PERMUTE):
+            got = verify_dense(strategy, order=order, early_exit=False)
+            assert got.steps_checked == expected
+            assert got.wins == (not belief)
+
+
+def test_threads_are_capped_at_usable_cpus(monkeypatch):
+    # A pool is asked for at most as many workers as the process has CPUs,
+    # whatever --threads says.  The stub runs work inline and starts no
+    # thread, so an uncapped request is only recorded.
+    import os
+    from concurrent.futures import Future
+
+    from spintable import verify
+
+    requested = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, wait=True):
+            pass
+
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", InlinePool)
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:
+        usable = os.cpu_count() or 1
+    strategy = random_strategy(rot_spec(4, 2), 20, random.Random(41))
+    got = verify_dense(strategy, threads=10**6, early_exit=False)
+    assert got == verify_dense(strategy, threads=1, early_exit=False)
+    assert all(workers <= usable for workers in requested)
+    assert len(requested) == (usable > 1)
 
 
 def _kernel_inputs(rng, size, G, density):
@@ -327,14 +396,25 @@ def test_compiled_kernel_rejects_bad_arguments():
     assert not readonly.any()
 
 
-@pytest.mark.parametrize("n,m", [(5, 2), (4, 3), (3, 5), (3, 6), (2, 27)])
-def test_transition_tables_match_decoded_reference(n, m):
+@pytest.mark.parametrize(
+    "n,m,gens",
+    [
+        pytest.param(5, 2, None, id="5-2"),
+        pytest.param(4, 3, None, id="4-3"),
+        pytest.param(3, 5, None, id="3-5"),
+        pytest.param(3, 6, None, id="3-6"),
+        pytest.param(2, 27, None, id="2-27"),
+        pytest.param(4, 3, list(itertools.permutations(range(4))), id="sym4-3"),
+    ],
+)
+def test_transition_tables_match_decoded_reference(n, m, gens):
     # Move tables: ainv[t] = encode(decode(t) - y).  Permutation tables:
-    # pinv[g, t] = encode(g^-1 applied to decode(t)).
+    # pinv[g, t] = encode(g^-1 applied to decode(t)), for the rotations or
+    # for the given generators.
     from spintable.perm import inverse
     from spintable.verify import TransitionTables
 
-    spec = rot_spec(n, m)
+    spec = rot_spec(n, m) if gens is None else GameSpec(n, m, generator_set(n, gens))
     tables = TransitionTables(spec)
     configs = [decode_config(t, n, m) for t in range(spec.state_count)]
     rng = random.Random(n * 100 + m)
