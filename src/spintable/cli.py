@@ -179,10 +179,9 @@ def _cmd_refute(args) -> int:
     rng = random.Random(args.seed)
     x = initial_bad_config(cert, spec.m)
     for _ in range(args.rounds):
-        y = mod_vector(spec.m, (rng.randrange(spec.m) for _ in range(spec.n)))
-        g = adversary_move(x, y, cert, spec.S)
-        x = act(g, x) + y
-        if is_semi_homogeneous(x, cert) or x.is_zero():
+        y = tuple([rng.randrange(spec.m) for _ in range(spec.n)])
+        _, x = adversary_move(x, y, cert, spec)
+        if is_semi_homogeneous(x, cert) or not any(x):
             raise AssertionError("adversary invariant broke; certificate is unsound")
     print(f"invariant held for {args.rounds} rounds", file=sys.stderr)
     return 0

@@ -6,7 +6,7 @@ class SpintableError(Exception):
 
 
 class CapExceeded(SpintableError):
-    """A configured resource cap (group size, state count) was exceeded."""
+    """A configured resource cap (state count, strategy length) was exceeded."""
 
 
 class UnsolvableSpec(SpintableError):

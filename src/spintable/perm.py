@@ -7,13 +7,11 @@ first); every consumer of left-to-right products in this package relies on
 that one convention.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-
-from .errors import CapExceeded
-
-DEFAULT_GROUP_CAP = 100_000
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -90,10 +88,11 @@ def perm_power(a: Permutation, e: int) -> Permutation:
 class GeneratorSet:
     """The set S of permutations the adversary may apply each turn.
 
-    Listed order matters: closure insertion order, adversary scans, and
-    witness indices all refer to positions in ``perms``.  The identity is
-    required by the game itself but not by this container; ``GameSpec``
-    enforces it and ``normalize_generators`` manufactures it.
+    Listed order matters: element enumeration, certificate blocks,
+    adversary scans, and witness indices all follow positions in
+    ``perms``.  The identity is required by the game itself but not by this
+    container; ``GameSpec`` enforces it and ``normalize_generators``
+    manufactures it.
     """
 
     n: int
@@ -111,6 +110,12 @@ class GeneratorSet:
 
     def contains_identity(self) -> bool:
         return any(g.is_identity() for g in self.perms)
+
+    @cached_property
+    def inverse_mappings(self) -> tuple[tuple[int, ...], ...]:
+        """Each generator's inverse in image form, in listed order, so that
+        acting by ``perms[i]`` sends entry ``inverse_mappings[i][j]`` to j."""
+        return tuple(inverse(g).mapping for g in self.perms)
 
     def with_identity(self) -> "GeneratorSet":
         """This set, with the identity prepended when missing."""
@@ -130,57 +135,156 @@ def rotation_generators(n: int) -> GeneratorSet:
 
 @dataclass(frozen=True)
 class Group:
-    """A fully materialized subgroup of S_n with deterministic element order."""
+    """A subgroup of S_n held as a base and strong generating set.
+
+    ``base`` lists points b_0, b_1, ...; level i keeps the inverses of coset
+    representatives u with u(b_i) = x for every x in the orbit of b_i under
+    the stabilizer of b_0..b_{i-1}.  The order is the product of the orbit
+    lengths, and membership sifts through the levels (Sims 1970; Seress
+    2003, ch. 4), so no element of the group is ever stored.
+    """
 
     n: int
-    elements: tuple[Permutation, ...] = field(repr=False)
+    generators: tuple[Permutation, ...] = field(repr=False)
+    base: tuple[int, ...] = field(repr=False)
+    transversals: tuple[dict[int, tuple[int, ...]], ...] = field(repr=False, compare=False)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    @cached_property
-    def _mappings(self) -> frozenset[tuple[int, ...]]:
-        # Built on the first membership test, so callers that only need the
-        # order (decide) never pay for it.
-        return frozenset(g.mapping for g in self.elements)
+        return math.prod(map(len, self.transversals))
 
     def __contains__(self, g: Permutation) -> bool:
-        return g.mapping in self._mappings
+        if g.n != self.n:
+            return False
+        residue, _ = _sift(g.mapping, self.base, self.transversals)
+        return residue == tuple(range(self.n))
+
+    @property
+    def elements(self) -> Iterator[Permutation]:
+        """Every element, lazily, in breadth-first order: the generators in
+        listed order, then each product a·g with a taken in discovery order
+        and g applied on the right in listed order.  Each access starts a
+        fresh enumeration."""
+        gens = [g.mapping for g in self.generators]
+        seen: set[tuple[int, ...]] = set()
+        queue: deque[tuple[int, ...]] = deque()
+        for g in gens:
+            if g not in seen:
+                seen.add(g)
+                queue.append(g)
+                yield Permutation(g)
+        while queue:
+            a = queue.popleft()
+            for g in gens:
+                c = tuple([a[i] for i in g])
+                if c not in seen:
+                    seen.add(c)
+                    queue.append(c)
+                    yield Permutation(c)
 
     def __repr__(self):
         return f"Group(n={self.n}, order={self.order})"
 
 
-@lru_cache(maxsize=256)
-def closure(S: GeneratorSet, cap: int = DEFAULT_GROUP_CAP) -> Group:
-    """Generate the subgroup ⟨S⟩ by breadth-first products.
+def _sift(g, base, transversals, start=0) -> tuple[tuple[int, ...], int]:
+    """Divide g by coset representatives from level ``start`` down; return
+    the residue and the level where no representative matched
+    (``len(base)`` when g passed every level)."""
+    for level in range(start, len(base)):
+        u_inv = transversals[level].get(g[base[level]])
+        if u_inv is None:
+            return g, level
+        g = tuple([u_inv[i] for i in g])
+    return g, len(base)
 
-    Elements are recorded in BFS insertion order with generators applied on
-    the right in listed order, so the enumeration is reproducible.  Raises
-    CapExceeded when the group grows past ``cap``.
+
+def _orbit_reps(n: int, point: int, gens) -> tuple[dict, dict]:
+    """Breadth-first orbit of ``point`` under ``gens``, as two maps: x to a
+    representative u with u(point) = x, and x to u^-1."""
+    ident = tuple(range(n))
+    reps, inverses = {point: ident}, {point: ident}
+    queue = [point]
+    for x in queue:
+        u = reps[x]
+        for s in gens:
+            y = s[x]
+            if y not in reps:
+                su = tuple([s[i] for i in u])
+                su_inv = [0] * n
+                for i, v in enumerate(su):
+                    su_inv[v] = i
+                reps[y], inverses[y] = su, tuple(su_inv)
+                queue.append(y)
+    return reps, inverses
+
+
+def _first_moved(g: tuple[int, ...]) -> int:
+    return next(i for i, v in enumerate(g) if v != i)
+
+
+def _schreier_sims(n: int, gens) -> tuple[tuple[int, ...], tuple[dict, ...]]:
+    """Base and inverse transversals of ⟨gens⟩ by deterministic Schreier–Sims.
+
+    Level i holds the strong generators that fix b_0..b_{i-1}.  Generators
+    are taken one at a time, and one that already sifts to the identity is
+    skipped.  Otherwise its residue joins the levels it fixes, and the
+    Schreier generators v^-1·s·u of each level, from the deepest changed one
+    up, are sifted through the levels below; a nonidentity residue becomes a
+    new strong generator (and a new base point when it fixes the whole
+    base), and the scan restarts at the deepest level it reached (Holt, Eick
+    and O'Brien 2005, §4.4.2).
     """
-    seen: dict[tuple[int, ...], Permutation] = {}
-    queue: deque[Permutation] = deque()
-    for g in S.perms:
-        if g.mapping not in seen:
-            seen[g.mapping] = g
-            queue.append(g)
-    while queue:
-        a = queue.popleft()
-        for g in S.perms:
-            c = compose(a, g)
-            if c.mapping not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(f"group closure exceeded cap of {cap} elements")
-                seen[c.mapping] = c
-                queue.append(c)
-    elements = tuple(seen.values())
-    # A finite set closed under composition is closed under inverses too,
-    # hence contains the identity; assert rather than assume.
-    ident = identity(S.n)
-    assert ident.mapping in seen, "closure of a nonempty set must contain identity"
-    return Group(S.n, elements)
+    ident = tuple(range(n))
+    base: list[int] = []
+    strong: list[list[tuple[int, ...]]] = []
+    orbits: list[tuple[dict, dict]] = []
+
+    def add(residue, top, depth):
+        if depth == len(base):
+            base.append(_first_moved(residue))
+            strong.append([])
+            orbits.append(({}, {}))
+        for j in range(top, depth + 1):
+            strong[j].append(residue)
+            orbits[j] = _orbit_reps(n, base[j], strong[j])
+
+    for g in gens:
+        residue, depth = _sift(g, base, [inv for _, inv in orbits])
+        if residue == ident:
+            continue
+        add(residue, 0, depth)
+        level = depth
+        while level >= 0:
+            inverses = [inv for _, inv in orbits]
+            b, (reps, inv) = base[level], orbits[level]
+            found = None
+            for u in reps.values():
+                for s in strong[level]:
+                    v_inv = inv[s[u[b]]]
+                    h = tuple([v_inv[s[i]] for i in u])
+                    residue, depth = _sift(h, base, inverses, level + 1)
+                    if residue != ident:
+                        found = residue, depth
+                        break
+                if found:
+                    break
+            if found is None:
+                level -= 1
+                continue
+            add(found[0], level + 1, found[1])
+            level = found[1]
+    return tuple(base), tuple(inv for _, inv in orbits)
+
+
+@lru_cache(maxsize=256)
+def closure(S: GeneratorSet) -> Group:
+    """The subgroup ⟨S⟩, as a base and strong generating set.
+
+    The listed generators are kept for ``Group.elements``, whose
+    breadth-first order is reproducible from them.
+    """
+    base, transversals = _schreier_sims(S.n, [g.mapping for g in S.perms])
+    return Group(S.n, S.perms, base, transversals)
 
 
 def normalize_generators(S: GeneratorSet, t: Permutation) -> GeneratorSet:
@@ -205,8 +309,9 @@ def normalize_generators(S: GeneratorSet, t: Permutation) -> GeneratorSet:
 def cauchy_element(G: Group, p: int) -> Permutation:
     """An element of exact order p, for any prime p dividing |G|.
 
-    Scans G in closure order for the first g whose order is divisible by p
-    and returns g^(order/p), so the result is deterministic.
+    Walks ``G.elements`` lazily up to the first g whose order is divisible
+    by p and returns g^(order/p), so the result is deterministic and only
+    that prefix of G is ever built.
     """
     if p < 2 or G.order % p != 0:
         raise ValueError(f"{p} does not divide the group order {G.order}")
@@ -218,12 +323,13 @@ def cauchy_element(G: Group, p: int) -> Permutation:
 
 
 def cyclic_blocks(G: Group, c: Permutation, p: int) -> list[tuple[int, ...]]:
-    """Position blocks {g(c^i(x0))} for all g in G, deduplicated.
+    """The orbit of one position set under G: the blocks {g(c^i(x0))}.
 
     The anchor x0 is position 0 when c moves it; otherwise the smallest
     position c moves, so the blocks are never all singletons and the
     constant-on-blocks invariant they induce has content.  Blocks are
-    returned as sorted tuples in first-occurrence order over G's elements.
+    sorted tuples in breadth-first order from the anchor's c-orbit, with
+    G's generators applied in listed order.
     """
     if c not in G:
         raise ValueError("c must belong to G")
@@ -239,11 +345,12 @@ def cyclic_blocks(G: Group, c: Permutation, p: int) -> list[tuple[int, ...]]:
     while x != anchor:
         orbit.append(x)
         x = c(x)
-    blocks: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for g in G.elements:
-        block = tuple(sorted(g(i) for i in orbit))
-        if block not in seen:
-            seen.add(block)
-            blocks.append(block)
+    blocks = [tuple(sorted(orbit))]
+    seen = set(blocks)
+    for block in blocks:
+        for g in G.generators:
+            image = tuple(sorted(g.mapping[i] for i in block))
+            if image not in seen:
+                seen.add(image)
+                blocks.append(image)
     return blocks

@@ -15,10 +15,9 @@ games down to smaller ones; run forward they give cheap cross-validation.
 from dataclasses import dataclass
 
 from .errors import SolvableSpec
-from .game import GameSpec, Strategy, act
+from .game import GameSpec, Strategy
 from .linalg import ModVector
 from .perm import (
-    GeneratorSet,
     Permutation,
     cauchy_element,
     closure,
@@ -73,16 +72,19 @@ def build_certificate(spec: GameSpec) -> UnsolvabilityCertificate:
     return UnsolvabilityCertificate(p=p, q=q, c=c, blocks=blocks)
 
 
-def is_semi_homogeneous(x: ModVector, cert: UnsolvabilityCertificate) -> bool:
-    """True when every certificate block is constant mod q."""
+def is_semi_homogeneous(x: tuple[int, ...], cert: UnsolvabilityCertificate) -> bool:
+    """True when every certificate block of the configuration x (a tuple of
+    residues) is constant mod q."""
+    q = cert.q
     for block in cert.blocks:
-        first = x.entries[block[0]] % cert.q
-        if any(x.entries[i] % cert.q != first for i in block[1:]):
-            return False
+        first = x[block[0]] % q
+        for i in block[1:]:
+            if x[i] % q != first:
+                return False
     return True
 
 
-def initial_bad_config(cert: UnsolvabilityCertificate, m: int) -> ModVector:
+def initial_bad_config(cert: UnsolvabilityCertificate, m: int) -> tuple[int, ...]:
     """A deterministic start the invariant condemns: 1 at the smallest
     position of the first big block, 0 elsewhere."""
     if m % cert.q != 0:
@@ -90,21 +92,28 @@ def initial_bad_config(cert: UnsolvabilityCertificate, m: int) -> ModVector:
     block = next(b for b in cert.blocks if len(b) >= 2)
     entries = [0] * cert.n
     entries[block[0]] = 1
-    return ModVector(m, tuple(entries))
+    return tuple(entries)
 
 
 def adversary_move(
-    x: ModVector, y: ModVector, cert: UnsolvabilityCertificate, S: GeneratorSet
-) -> Permutation:
-    """A generator keeping the configuration non-semi-homogeneous after the
-    player's move y.  One must exist whenever x already violates the
-    invariant; exhausting S would disprove the theory, so it aborts loudly.
+    x: tuple[int, ...], y: tuple[int, ...], cert: UnsolvabilityCertificate, spec: GameSpec
+) -> tuple[int, tuple[int, ...]]:
+    """The first generator, by index, that keeps the configuration
+    non-semi-homogeneous after the player's move y, with the configuration
+    it leads to: ``act(spec.S.perms[index], x) + y`` on plain residues.
+
+    One must exist whenever x already violates the invariant; exhausting S
+    would disprove the theory, so it aborts loudly.
     """
+    if len(x) != spec.n or len(y) != spec.n:
+        raise ValueError(f"configuration and move must have {spec.n} entries")
     if is_semi_homogeneous(x, cert):
         raise ValueError("adversary oracle requires a non-semi-homogeneous configuration")
-    for g in S.perms:
-        if not is_semi_homogeneous(act(g, x) + y, cert):
-            return g
+    m = spec.m
+    for index, inv in enumerate(spec.S.inverse_mappings):
+        x_next = tuple([(x[j] + e) % m for j, e in zip(inv, y)])
+        if not is_semi_homogeneous(x_next, cert):
+            return index, x_next
     raise AssertionError(
         "no generator preserves the invariant; the certificate theory is violated"
     )

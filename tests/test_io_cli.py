@@ -297,6 +297,26 @@ def test_cli_decide_exit_codes(capsys):
     assert not doc["solvable"] and doc["reason"] == "mixed-primes"
 
 
+def _symmetric_gens(n):
+    return json.dumps([[1, 0] + list(range(2, n)), [(i + 1) % n for i in range(n)]])
+
+
+@pytest.mark.parametrize("n,order", [(9, 362880), (12, 479001600)], ids=["sym-9", "sym-12"])
+def test_cli_decide_and_refute_large_symmetric_groups(n, order, tmp_path, capsys):
+    # |G| comes from a stabilizer chain, so groups far past any element
+    # list are decided; both are unwinnable mod 2.
+    spec = ["-n", str(n), "-m", "2", "--gens", _symmetric_gens(n)]
+    assert run(["decide", *spec]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["group_order"] == order and doc["reason"] == "mixed-primes"
+    if n == 9:
+        cert_path = tmp_path / "cert.json"
+        assert run(["refute", *spec, "--rounds", "200", "-o", str(cert_path)]) == 0
+        assert capsys.readouterr().err == "invariant held for 200 rounds\n"
+        cert = sio.load_certificate(cert_path.read_text())
+        assert (cert.p, cert.q, cert.n) == (3, 2, 9)
+
+
 def test_cli_synth_verify_pipeline(tmp_path, capsys):
     out = tmp_path / "s.json"
     assert run(["synth", "-n", "4", "-m", "2", "--rotations", "-o", str(out)]) == 0

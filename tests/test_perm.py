@@ -1,12 +1,12 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from spintable import (
-    CapExceeded,
     cauchy_element,
     closure,
     compose,
@@ -94,12 +94,6 @@ def test_closure_without_identity_still_contains_it():
     G = closure(generator_set(4, [[1, 2, 3, 0]]))
     assert G.order == 4
     assert identity(4) in G
-
-
-def test_closure_cap():
-    S = generator_set(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
-    with pytest.raises(CapExceeded):
-        closure(S, cap=10)
 
 
 def test_closure_is_a_group():
@@ -233,3 +227,89 @@ def test_cyclic_blocks_sizes_and_coverage(n, p, c_rot):
         assert len(b) in (1, p)
     covered = sorted({i for b in blocks for i in b})
     assert covered == list(range(n))  # rotations act transitively
+
+
+def _symmetric(n):
+    return generator_set(n, [list(range(n)), [1, 0] + list(range(2, n)), rotation(n, 1).mapping])
+
+
+# Every fixed generator set the test suite builds, except the 40 320
+# permutations of 8 points in test_verify, whose breadth-first enumeration
+# would compose 40 320 x 40 320 pairs; it is checked by its own order below.
+GENERATOR_SETS_IN_TESTS = (
+    [rotation_generators(n) for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15)]
+    + [generator_set(n, [list(range(n))]) for n in (1, 2, 3, 4, 5)]
+    + [_symmetric(n) for n in (2, 3, 4, 5, 6)]
+    + [
+        generator_set(2, [[1, 0]]),
+        generator_set(3, [[0, 1, 2], [1, 2, 0]]),
+        generator_set(3, [[0, 1, 2], [0, 2, 1]]),
+        generator_set(3, [[0, 2, 1]]),
+        generator_set(4, [[1, 2, 3, 0]]),
+        generator_set(4, [[1, 0, 2, 3]]),
+        generator_set(4, [[0, 1, 2, 3], [1, 0, 2, 3]]),
+        generator_set(4, [[1, 0, 2, 3], [0, 1, 3, 2]]),
+        generator_set(4, [[1, 0, 2, 3], [1, 2, 3, 0]]),
+        generator_set(4, [[0, 1, 2, 3], [2, 3, 0, 1]]),
+        generator_set(4, [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1]]),
+        generator_set(4, [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]),
+        generator_set(4, [[0, 1, 2, 3], [1, 2, 3, 0], [3, 2, 1, 0]]),
+        generator_set(4, itertools.permutations(range(4))),
+        generator_set(6, [[0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3]]),
+        generator_set(8, [[0, 1, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]]),
+        # The relabeled S_8 of the certificate pins in test_refutation.
+        generator_set(
+            8,
+            [[0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 7, 4, 5, 6, 3], [5, 6, 4, 7, 3, 1, 2, 0]],
+        ),
+    ]
+)
+
+
+def _random_generator_sets(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        yield generator_set(n, [rng.sample(range(n), n) for _ in range(rng.randint(1, 3))])
+
+
+@pytest.mark.parametrize("source", ["tests", "random"])
+def test_group_order_matches_enumeration(source):
+    # The order comes from the stabilizer chain; the elements come from a
+    # plain breadth-first closure of the generators.  They must agree, and
+    # every enumerated element must sift through the chain.
+    sets = GENERATOR_SETS_IN_TESTS if source == "tests" else list(_random_generator_sets(300, 77))
+    for S in sets:
+        G = closure(S)
+        elements = set(G.elements)
+        assert G.order == len(elements), S
+        assert all(g in G for g in elements)
+
+
+def test_group_order_of_every_permutation_of_8_points():
+    S = generator_set(8, itertools.permutations(range(8)))
+    assert closure(S).order == len(set(S.perms)) == math.factorial(8)
+
+
+def test_alternating_group_order_and_membership():
+    # A_16 from the 3-cycles (0 1 i): far too large to list, and sifting
+    # must reject odd permutations.
+    n = 16
+    gens = []
+    for i in range(2, n):
+        g = list(range(n))
+        g[0], g[1], g[i] = 1, i, 0
+        gens.append(g)
+    G = closure(generator_set(n, gens))
+    assert G.order == math.factorial(n) // 2
+    assert perm([1, 0, 3, 2] + list(range(4, n))) in G
+    assert perm([1, 0] + list(range(2, n))) not in G
+    assert perm(list(range(1, n)) + [0]) not in G
+
+
+def test_group_elements_follow_breadth_first_order():
+    # Generators first in listed order, then products a*g with g on the right.
+    G = closure(generator_set(3, [[1, 0, 2], [1, 2, 0]]))
+    assert [g.mapping for g in G.elements] == [
+        (1, 0, 2), (1, 2, 0), (0, 1, 2), (0, 2, 1), (2, 1, 0), (2, 0, 1)
+    ]
