@@ -4,6 +4,10 @@ Subcommands: decide, synth, verify, refute, play, bench.  Documents travel
 as canonical JSON (see io.py).  Exit codes: 0 for the affirmative outcome
 (solvable / wins / invariant held), 1 for the negative one, 2 for malformed
 input, exceeded caps, or I/O failure.
+
+decide and refute are integer work.  The verifier is imported inside the
+commands that run it (verify, bench), and NumPy only by the verifier and the
+strategy constructions, so those two commands load neither.
 """
 
 import argparse
@@ -15,13 +19,11 @@ from pathlib import Path
 
 from . import io as sio
 from .errors import SolvableSpec, SpintableError, UnsolvableSpec
-from .game import GameSpec, Strategy, act
+from .game import DEFAULT_STATE_CAP, GameSpec, Strategy, act, config_digits, mod_vector, zero_vector
 from .kernels import available_backends, default_backend_name
-from .linalg import mod_vector, zero_vector
 from .perm import rotation_generators
 from .refute import adversary_move, build_certificate, initial_bad_config, is_semi_homogeneous
 from .solve import decide, synth
-from .verify import DEFAULT_STATE_CAP, bench_verify, verify_strategy
 
 
 def _count_at_least(low: int):
@@ -155,6 +157,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import verify_strategy
+
     strategy = sio.load_strategy(Path(args.strategy).read_text())
     verdict = verify_strategy(
         strategy,
@@ -176,10 +180,11 @@ def _cmd_refute(args) -> int:
         print("hint: run `spintable synth` for a winning strategy", file=sys.stderr)
         return 1
     _emit(sio.dump_certificate(cert), args.o)
+    # Each round's move is one uniform draw over all m^n moves.
     rng = random.Random(args.seed)
     x = initial_bad_config(cert, spec.m)
     for _ in range(args.rounds):
-        y = tuple([rng.randrange(spec.m) for _ in range(spec.n)])
+        y = config_digits(rng.randrange(spec.state_count), spec.n, spec.m)
         _, x = adversary_move(x, y, cert, spec)
         if is_semi_homogeneous(x, cert) or not any(x):
             raise AssertionError("adversary invariant broke; certificate is unsound")
@@ -248,6 +253,8 @@ def _cmd_play(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .verify import bench_verify
+
     spec = _spec_from_args(args)
     try:
         strategy = synth(spec)

@@ -5,16 +5,63 @@ and the start configuration is itself a checkpoint.  The alternative order
 (move first, permute after) is supported by the verifier for cross-checks;
 the two agree on which strategies win.
 
-Configurations are vectors in Z_m^n.  For set-valued work they are encoded
-as base-m integers with position 0 least significant, so the all-zero
-(winning) configuration is always code 0.
+Configurations and moves are vectors in Z_m^n (ModVector).  For set-valued
+work they are encoded as base-m integers with position 0 least significant,
+so the all-zero (winning) configuration is always code 0.
 """
 
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .linalg import ModVector
 from .perm import GeneratorSet, Permutation
+
+# The largest state space the dense verifier allocates tables for; kept
+# here so that the CLI's defaults do not import the verifier.
+DEFAULT_STATE_CAP = 1 << 24
+
+
+@dataclass(frozen=True)
+class ModVector:
+    """A length-n vector of residues mod m."""
+
+    m: int
+    entries: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError("modulus must be >= 1")
+        if any(not 0 <= e < self.m for e in self.entries):
+            raise ValueError(f"entries must lie in [0, {self.m}): {self.entries}")
+
+    @property
+    def n(self) -> int:
+        return len(self.entries)
+
+    def __add__(self, other: "ModVector") -> "ModVector":
+        self._check(other)
+        return ModVector(self.m, tuple((a + b) % self.m for a, b in zip(self.entries, other.entries)))
+
+    def __sub__(self, other: "ModVector") -> "ModVector":
+        self._check(other)
+        return ModVector(self.m, tuple((a - b) % self.m for a, b in zip(self.entries, other.entries)))
+
+    def scale(self, k: int) -> "ModVector":
+        return ModVector(self.m, tuple((k * a) % self.m for a in self.entries))
+
+    def is_zero(self) -> bool:
+        return all(e == 0 for e in self.entries)
+
+    def _check(self, other: "ModVector"):
+        if self.m != other.m or self.n != other.n:
+            raise ValueError("vectors must share modulus and length")
+
+
+def mod_vector(m: int, entries) -> ModVector:
+    return ModVector(m, tuple(int(e) % m for e in entries))
+
+
+def zero_vector(m: int, n: int) -> ModVector:
+    return ModVector(m, (0,) * n)
 
 
 @dataclass(frozen=True)
@@ -71,12 +118,17 @@ def encode_config(x: ModVector) -> int:
     return code
 
 
-def decode_config(code: int, n: int, m: int) -> ModVector:
+def config_digits(code: int, n: int, m: int) -> tuple[int, ...]:
+    """The n base-m digits of code, position 0 (least significant) first."""
     entries = []
     for _ in range(n):
-        entries.append(code % m)
-        code //= m
-    return ModVector(m, tuple(entries))
+        code, digit = divmod(code, m)
+        entries.append(digit)
+    return tuple(entries)
+
+
+def decode_config(code: int, n: int, m: int) -> ModVector:
+    return ModVector(m, config_digits(code, n, m))
 
 
 def act(g: Permutation, x: ModVector) -> ModVector:

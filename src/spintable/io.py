@@ -5,20 +5,23 @@ trailing newline.  Strategy files may omit the identity from the generator
 list; it is re-added on load because the game requires it.  Strategy moves
 are validated and deduplicated as one integer array, so loading a document
 of a million moves costs a few array passes beyond json itself; writing one
-encodes each distinct move once.
+encodes each distinct move once.  NumPy and the verifier's types are
+imported where strategies are loaded and verdicts parsed, so certificates
+and generator lists cost neither.
 """
 
 import json
 from itertools import chain
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from .game import GameSpec, Strategy
-from .linalg import ModVector
+from .game import GameSpec, ModVector, Strategy
 from .perm import GeneratorSet, Permutation, generator_set
 from .refute import UnsolvabilityCertificate
-from .verify import Verdict, Witness
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .verify import Verdict
 
 _SEPARATORS = (",", ":")
 
@@ -67,9 +70,11 @@ def _generators(raw, n: int) -> GeneratorSet:
     return generator_set(n, raw).with_identity()
 
 
-def _moves_array(raw, n: int, m: int) -> np.ndarray:
+def _moves_array(raw, n: int, m: int) -> "np.ndarray":
     """The moves as an (L, n) int64 array: a list of length-n lists of
     integers (booleans and floats excluded) in [0, m)."""
+    import numpy as np
+
     _require(isinstance(raw, list), "moves must be an array")
     if not raw:
         return np.empty((0, n), dtype=np.int64)
@@ -84,8 +89,10 @@ def _moves_array(raw, n: int, m: int) -> np.ndarray:
     return flat.reshape(len(raw), n)
 
 
-def _shared_moves(arr: np.ndarray, m: int) -> tuple[ModVector, ...]:
+def _shared_moves(arr: "np.ndarray", m: int) -> tuple[ModVector, ...]:
     """One ModVector per distinct row, shared by every move that plays it."""
+    import numpy as np
+
     n = arr.shape[1]
     if m**n >= 1 << 63:
         # Row codes would overflow int64.  Such state spaces are far beyond
@@ -114,7 +121,7 @@ def load_strategy(text: str) -> Strategy:
     return Strategy(spec, moves, metadata=doc.get("metadata"))
 
 
-def dump_verdict(verdict: Verdict) -> str:
+def dump_verdict(verdict: "Verdict") -> str:
     witness = None
     if verdict.witness is not None:
         witness = {
@@ -126,8 +133,10 @@ def dump_verdict(verdict: Verdict) -> str:
     )
 
 
-def load_verdict(text: str, m: Optional[int] = None) -> Verdict:
+def load_verdict(text: str, m: Optional[int] = None) -> "Verdict":
     """Parse a verdict document; m is required only to decode a witness."""
+    from .verify import Verdict, Witness
+
     doc = json.loads(text)
     witness: Optional[Witness] = None
     raw = doc.get("witness")

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Z_p, plus the Z_m vectors the game is played with.
+"""Exact linear algebra over Z_p on the game's vectors (ModVector, game.py).
 
 Everything here is small and exact: matrices are NumPy int64 arrays reduced
 mod p after every operation, pivoting always takes the lowest usable index,
@@ -13,51 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .game import ModVector
 from .perm import GeneratorSet
-
-
-@dataclass(frozen=True)
-class ModVector:
-    """A length-n vector of residues mod m."""
-
-    m: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("modulus must be >= 1")
-        if any(not 0 <= e < self.m for e in self.entries):
-            raise ValueError(f"entries must lie in [0, {self.m}): {self.entries}")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def __add__(self, other: "ModVector") -> "ModVector":
-        self._check(other)
-        return ModVector(self.m, tuple((a + b) % self.m for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "ModVector") -> "ModVector":
-        self._check(other)
-        return ModVector(self.m, tuple((a - b) % self.m for a, b in zip(self.entries, other.entries)))
-
-    def scale(self, k: int) -> "ModVector":
-        return ModVector(self.m, tuple((k * a) % self.m for a in self.entries))
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
-    def _check(self, other: "ModVector"):
-        if self.m != other.m or self.n != other.n:
-            raise ValueError("vectors must share modulus and length")
-
-
-def mod_vector(m: int, entries) -> ModVector:
-    return ModVector(m, tuple(int(e) % m for e in entries))
-
-
-def zero_vector(m: int, n: int) -> ModVector:
-    return ModVector(m, (0,) * n)
 
 
 def is_prime(p: int) -> bool:

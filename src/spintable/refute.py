@@ -15,8 +15,7 @@ games down to smaller ones; run forward they give cheap cross-validation.
 from dataclasses import dataclass
 
 from .errors import SolvableSpec
-from .game import GameSpec, Strategy
-from .linalg import ModVector
+from .game import GameSpec, ModVector, Strategy
 from .perm import (
     Permutation,
     cauchy_element,

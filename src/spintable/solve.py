@@ -12,17 +12,22 @@ exactly m^n - 1:
     groups, invariant-chain basis otherwise);
   * m = p^b: the interleaving that plays a scaled mod-p^{b-1} strategy in
     blocks, stitched together by the mod-p strategy at block boundaries.
+
+decide is integer work on the group order.  NumPy and the linear algebra
+are imported inside the constructions, so deciding a game loads neither.
 """
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import CapExceeded, UnsolvableSpec
-from .game import GameSpec, Strategy
-from .linalg import ModVector, ZpBasis, binomial_basis, fixed_chain_basis, mod_vector
+from .game import GameSpec, ModVector, Strategy, mod_vector
 from .perm import closure, rotation
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .linalg import ZpBasis
 
 DEFAULT_MOVE_CAP = 1 << 26
 
@@ -93,8 +98,10 @@ def optimal_length(n: int, m: int, move_cap: int = DEFAULT_MOVE_CAP) -> int:
     return length
 
 
-def ruler_valuations(count: int, p: int) -> np.ndarray:
+def ruler_valuations(count: int, p: int) -> "np.ndarray":
     """v_p(i) for i = 1..count, one strided pass per power of p."""
+    import numpy as np
+
     if p < 2 and count > 0:
         raise ValueError("valuation needs a base p >= 2")
     valuation = np.zeros(count, dtype=np.intp)
@@ -112,6 +119,8 @@ def enumeration_strategy(spec: GameSpec) -> Strategy:
     per move.  Move k of that walk changes counter j = v_m(k), by +1 when
     k // m^(j+1) is even and by -1 when it is odd, so the whole walk is a
     schedule over 2n shared vectors."""
+    import numpy as np
+
     if closure(spec.S).order != 1:
         raise ValueError("enumeration strategy requires a trivial group")
     n, m = spec.n, spec.m
@@ -131,7 +140,7 @@ def _is_full_rotation_group(spec: GameSpec) -> bool:
     return G.order == spec.n and rotation(spec.n, 1) in G
 
 
-def ruler_moves(basis: ZpBasis, p: int, count: int) -> tuple[ModVector, ...]:
+def ruler_moves(basis: "ZpBasis", p: int, count: int) -> tuple[ModVector, ...]:
     """The schedule y_i = x_{v_p(i)} for i = 1..count; move objects are
     shared, so long schedules stay cheap."""
     return tuple(map(basis.vectors.__getitem__, ruler_valuations(count, p).tolist()))
@@ -146,6 +155,8 @@ def synth_mod_p(spec: GameSpec) -> Strategy:
     leak a basis vector into earlier ones, so the schedule clears the
     leading coefficient no matter what the adversary does.
     """
+    from .linalg import binomial_basis, fixed_chain_basis
+
     verdict = decide(spec)
     if not verdict.solvable:
         raise UnsolvableSpec(f"game is not winnable: {verdict.reason}")

@@ -30,11 +30,9 @@ import numpy as np
 
 from . import kernels
 from .errors import CapExceeded
-from .game import GameSpec, Strategy, decode_config, encode_config
-from .linalg import ModVector
+from .game import DEFAULT_STATE_CAP, GameSpec, ModVector, Strategy, decode_config, encode_config
 from .prove import proves_win
 
-DEFAULT_STATE_CAP = 1 << 24
 _COMP_CACHE_MAX = 128
 
 ORDER_PERMUTE_MOVE = "permute-move"
