@@ -42,7 +42,8 @@ def _count_at_least(low: int):
 
 
 _THREADS_HELP = (
-    "worker threads for dense rounds, capped at the CPUs this process may use;"
+    "worker threads for dense rounds, capped at the CPUs this process may use"
+    " and used only on rounds large enough to gain from them;"
     " the verdict does not depend on it"
 )
 _NONNEGATIVE = _count_at_least(0)

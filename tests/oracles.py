@@ -46,6 +46,23 @@ def belief_step(belief, move, generators, m):
     return out
 
 
+def move_permute_wins(n, m, generators, moves):
+    """(wins, round) for play in move-permute order, where each round adds
+    the move and then the adversary permutes: round is the first after which
+    no belief survives, or len(moves).  Sparse belief sets, stepped in that
+    order directly."""
+    zero = (0,) * n
+    belief = set(configs(n, m)) - {zero}
+    if not belief:
+        return True, 0
+    for k, y in enumerate(moves, start=1):
+        belief = {apply_perm(g, add_mod(x, tuple(y), m)) for x in belief for g in generators}
+        belief.discard(zero)
+        if not belief:
+            return True, k
+    return False, len(moves)
+
+
 def game_tree_wins(n, m, generators, moves):
     """True iff the move list wins from every start against every adversary.
 

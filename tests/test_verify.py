@@ -1,11 +1,14 @@
+import functools
 import hashlib
 import itertools
 import random
+from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
 from conftest import rot_spec
-from oracles import belief_step, configs, game_tree_wins
+from oracles import belief_step, configs, game_tree_wins, move_permute_wins
 from spintable import (
     CapExceeded,
     GameSpec,
@@ -19,6 +22,7 @@ from spintable import (
     verify_strategy,
 )
 from spintable import io as sio
+from spintable import verify
 from spintable.game import act, decode_config, encode_config
 from spintable.verify import ORDER_MOVE_PERMUTE, ORDER_PERMUTE_MOVE
 
@@ -111,7 +115,8 @@ def test_backends_agree(backend):
         assert got == base
 
 
-def test_thread_count_does_not_change_result():
+def test_thread_count_does_not_change_result(monkeypatch):
+    monkeypatch.setattr(verify, "MIN_SLICE_STATES", 1)
     rng = random.Random(11)
     spec = rot_spec(4, 2)
     for _ in range(5):
@@ -121,9 +126,10 @@ def test_thread_count_does_not_change_result():
             assert verify_strategy(strategy, want_witness=True, threads=threads) == ref
 
 
-def test_thread_count_stable_on_uncached_move_path(backend):
-    # More than 128 distinct moves forces the on-the-fly table path; the
-    # verdict must not depend on how the state space is partitioned.
+def test_thread_count_stable_on_uncached_move_path(backend, monkeypatch):
+    # 300 random moves, nearly all distinct; the verdict must not depend on
+    # how the state space is partitioned.
+    monkeypatch.setattr(verify, "MIN_SLICE_STATES", 1)
     rng = random.Random(19)
     spec = rot_spec(12, 2)
     strategy = random_strategy(spec, 300, rng)
@@ -164,8 +170,8 @@ def test_witnesses_replay_to_zero_free_traces():
 
 # sha256 of dump_verdict, witness included.  The bytes fix which line is
 # reported: the walk back from the first final survivor that takes the first
-# live generator each round.  The rot-12-2 strategy has 290 distinct moves,
-# more than the composed-table cache holds, so it runs the uncached path.
+# live generator each round.  The rot-12-2 strategy plays 290 distinct moves
+# on the kernel's m = 2 path; the other two take its block path.
 PINNED_WITNESS_VERDICTS = {
     "rot-5-5-truncated": "9a7a586a16e3c337c42687e773c74651c7e6e55f3e3cb3561034fa99c2086dbc",
     "rot-12-2-random-300": "812dfa93f21d7b7c284fa9fbb7ca8505d5704325e9cd302ead713ce8ba732ef2",
@@ -184,7 +190,8 @@ def _pinned_witness_strategy(name: str) -> Strategy:
 
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("name", sorted(PINNED_WITNESS_VERDICTS))
-def test_witness_verdict_bytes_are_pinned(backend, name, threads):
+def test_witness_verdict_bytes_are_pinned(backend, name, threads, monkeypatch):
+    monkeypatch.setattr(verify, "MIN_SLICE_STATES", 1)
     strategy = _pinned_witness_strategy(name)
     verdict = verify_strategy(strategy, want_witness=True, backend=backend, threads=threads)
     doc = sio.dump_verdict(verdict).encode()
@@ -206,9 +213,8 @@ def test_witness_with_40320_generators(backend):
 
 def test_dense_survivors_match_sparse_belief_steps(backend):
     # Drive the oracle's sparse belief step alongside the dense kernel and
-    # require identical survivor sets after every round.
-    import numpy as np
-
+    # require identical survivor sets, and the kernel's live count, after
+    # every round.
     from spintable import kernels
     from spintable.verify import TransitionTables
 
@@ -222,13 +228,12 @@ def test_dense_survivors_match_sparse_belief_steps(backend):
         src = np.ones(size, dtype=np.uint8)
         src[0] = 0
         belief = set(configs(spec.n, spec.m)[1:])
-        for i, y in enumerate(strategy.moves):
+        for y in strategy.moves:
             belief = belief_step(belief, y.entries, gens, spec.m)
             dst = np.empty_like(src)
-            if i % 2 == 0:
-                kern.step(src, dst, tables._compose(y, ORDER_PERMUTE_MOVE), 0, size)
-            else:
-                kern.step_indirect(src, dst, tables._pinv, tables.move_table(y), 0, size)
+            move = np.array(y.entries, dtype=np.int32)
+            alive = kern.advance(src, dst, tables._pinv, move, spec.m, 0, size)
+            assert alive == len(belief) + int(dst[0])
             dst[0] = 0
             src = dst
             survivors = {decode_config(t, spec.n, spec.m).entries for t in np.flatnonzero(src)}
@@ -268,22 +273,19 @@ def test_steps_checked_is_the_round_the_oracle_empties(spec):
             assert got.wins == (not belief)
 
 
-def test_threads_are_capped_at_usable_cpus(monkeypatch):
-    # A pool is asked for at most as many workers as the process has CPUs,
-    # whatever --threads says.  The stub runs work inline and starts no
-    # thread, so an uncapped request is only recorded.
-    import os
-    from concurrent.futures import Future
-
-    from spintable import verify
-
-    requested = []
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stands in for ThreadPoolExecutor: runs work inline and starts no
+    thread.  Returns the lists of worker counts asked for and of slice
+    lengths submitted."""
+    requested, slices = [], []
 
     class InlinePool:
         def __init__(self, max_workers):
             requested.append(max_workers)
 
         def submit(self, fn, *args):
+            slices.append(args[-1] - args[-2])
             future = Future()
             future.set_result(fn(*args))
             return future
@@ -292,6 +294,16 @@ def test_threads_are_capped_at_usable_cpus(monkeypatch):
             pass
 
     monkeypatch.setattr(verify, "ThreadPoolExecutor", InlinePool)
+    return requested, slices
+
+
+def test_threads_are_capped_at_usable_cpus(monkeypatch, inline_pool):
+    # A pool is asked for at most as many workers as the process has CPUs,
+    # whatever --threads says.  The stub runs work inline and starts no
+    # thread, so an uncapped request is only recorded.
+    import os
+
+    monkeypatch.setattr(verify, "MIN_SLICE_STATES", 1)
     try:
         usable = len(os.sched_getaffinity(0))
     except AttributeError:
@@ -299,100 +311,143 @@ def test_threads_are_capped_at_usable_cpus(monkeypatch):
     strategy = random_strategy(rot_spec(4, 2), 20, random.Random(41))
     got = verify_dense(strategy, threads=10**6, early_exit=False)
     assert got == verify_dense(strategy, threads=1, early_exit=False)
+    requested, _ = inline_pool
     assert all(workers <= usable for workers in requested)
     assert len(requested) == (usable > 1)
 
 
-def _kernel_inputs(rng, size, G, density):
-    import numpy as np
-
-    src = (rng.random(size) < density).astype(np.uint8)
-    comp = rng.integers(0, size, (G, size), dtype=np.int32)
-    ainv = rng.permutation(size).astype(np.int32)
-    return src, comp, ainv
+@pytest.mark.parametrize("min_states", [None, 8, 5])
+def test_rounds_split_only_into_slices_of_min_states(monkeypatch, inline_pool, min_states):
+    # A round too small to give every thread MIN_SLICE_STATES states is not
+    # split at all; a larger one is split into slices of at least that many.
+    if min_states is not None:
+        monkeypatch.setattr(verify, "MIN_SLICE_STATES", min_states)
+    strategy = random_strategy(rot_spec(4, 2), 20, random.Random(43))
+    got = verify_dense(strategy, threads=4, early_exit=False)
+    assert got == verify_dense(strategy, threads=1, early_exit=False)
+    requested, slices = inline_pool
+    assert len(requested) == (min_states is not None and verify._usable_cpus() > 1)
+    assert all(n >= verify.MIN_SLICE_STATES for n in slices)
 
 
 def _reference_round(src, table):
     """Whether any generator's predecessor is live, per column of a (G, size)
     table."""
-    import numpy as np
-
     return (src[table] != 0).any(axis=0).astype(np.uint8)
+
+
+# (n, m) for the kernel contract: n = 1, the m = 2 XOR path, m^n below and
+# above the compiled kernel's 4096-state offset block, a 70-state block, and
+# m > 4096, where no digit is tabulated.
+KERNEL_SHAPES = [(1, 7), (8, 2), (13, 2), (5, 3), (9, 3), (2, 70), (1, 5000)]
+
+
+@functools.lru_cache(maxsize=None)
+def _undone_states(n, m, entries):
+    """u(t) = encode(decode(t) - y) for every state t, through ModVectors."""
+    y = mod_vector(m, entries)
+    return np.array([encode_config(decode_config(t, n, m) - y) for t in range(m**n)])
+
+
+def _contract_slices(n, m):
+    """Whole, empty and edge slices, and slices across the blocks of low
+    digits that the compiled kernel tabulates."""
+    size = m**n
+    block = max(m**k for k in range(n + 1) if m**k <= 4096)
+    cuts = [(0, size), (0, 0), (size // 2, size // 2), (size - 1, size), (1, size - 1)]
+    cuts.append((size // 3, 2 * size // 3))
+    if 3 <= block < size:
+        cuts.append((block - 3, min(size, block + 5)))
+    return cuts
 
 
 @pytest.mark.parametrize("G", [1, 3, 7])
 @pytest.mark.parametrize("density", [0.0, 0.1, 0.9])
 def test_kernel_contract_matches_numpy_reference(backend, G, density):
-    # Every backend writes exactly the slice [t0, t1) and nothing else.
-    import numpy as np
-
+    # dst[t] = OR_g src[pinv[g, u(t)]] on exactly the slice [t0, t1), and the
+    # return value counts the live states written there.
     from spintable import kernels
 
     kern = kernels.get_backend(backend)
     rng = np.random.default_rng(G * 10 + int(density * 10))
-    size = 211
-    src, comp, ainv = _kernel_inputs(rng, size, G, density)
-    live = _reference_round(src, comp)
-    live_ind = _reference_round(src, comp[:, ainv])
-    for t0, t1 in [(0, size), (0, 0), (70, 70), (7, size - 5), (size - 1, size)]:
-        sl = slice(t0, t1)
-        dst = np.full(size, 2, dtype=np.uint8)
-        kern.step(src, dst, comp, t0, t1)
-        assert (dst[sl] == live[sl]).all()
-        assert (np.delete(dst, np.arange(t0, t1)) == 2).all()
-
-        dst = np.full(size, 2, dtype=np.uint8)
-        kern.step_indirect(src, dst, comp, ainv, t0, t1)
-        assert (dst[sl] == live_ind[sl]).all()
-        assert (np.delete(dst, np.arange(t0, t1)) == 2).all()
+    for n, m in KERNEL_SHAPES:
+        size = m**n
+        entries = tuple(random.Random(n * 10_000 + m).randrange(m) for _ in range(n))
+        src = (rng.random(size) < density).astype(np.uint8)
+        pinv = rng.integers(0, size, (G, size), dtype=np.int32)
+        live = _reference_round(src, pinv[:, _undone_states(n, m, entries)])
+        move = np.array(entries, dtype=np.int32)
+        for t0, t1 in _contract_slices(n, m):
+            sl = slice(t0, t1)
+            dst = np.full(size, 2, dtype=np.uint8)
+            count = kern.advance(src, dst, pinv, move, m, t0, t1)
+            assert (dst[sl] == live[sl]).all()
+            assert (np.delete(dst, np.arange(t0, t1)) == 2).all()
+            assert count == np.count_nonzero(dst[sl])
 
 
 def test_compiled_kernel_rejects_bad_arguments():
-    # Item type, dimensionality, contiguity, agreeing shapes and slice bounds
-    # are all checked before anything is read or written.
-    import numpy as np
-
+    # Item type, dimensionality, contiguity, agreeing shapes, the move and
+    # the slice bounds are all checked before anything is read or written.
     from spintable import kernels
 
     if "compiled" not in kernels.available_backends():
         pytest.skip("compiled kernel not built")
     kern = kernels.get_backend("compiled")
     rng = np.random.default_rng(3)
-    size = 64
-    src, comp, ainv = _kernel_inputs(rng, size, 3, 0.5)
-    dst = np.zeros(size, dtype=np.uint8)
-    readonly = dst.copy()
+    m, size = 4, 64
+    src = (rng.random(size) < 0.5).astype(np.uint8)
+    pinv = rng.integers(0, size, (3, size), dtype=np.int32)
+    move = np.array([1, 0, 3], dtype=np.int32)
+    dst = np.full(size, 2, dtype=np.uint8)
+    readonly = np.zeros(size, dtype=np.uint8)
     readonly.setflags(write=False)
+
+    def call(src=src, dst=dst, pinv=pinv, move=move, m=m, t0=0, t1=size):
+        return lambda: kern.advance(src, dst, pinv, move, m, t0, t1)
+
     bad_calls = {
         TypeError: [
-            lambda: kern.step(src.astype(np.int8), dst, comp, 0, size),
-            lambda: kern.step(src.astype(bool), dst, comp, 0, size),
-            lambda: kern.step(src, dst, comp.astype(np.int64), 0, size),
-            lambda: kern.step(src, dst, comp.astype(np.uint32), 0, size),
-            lambda: kern.step_indirect(src, dst, comp, ainv.astype(np.int16), 0, size),
-            lambda: kern.step(src, dst, comp, 0.0, size),
-            lambda: kern.step(src, dst, [[0] * size], 0, size),
+            call(src=src.astype(np.int8)),
+            call(src=src.astype(bool)),
+            call(pinv=pinv.astype(np.int64)),
+            call(pinv=pinv.astype(np.uint32)),
+            call(move=move.astype(np.int16)),
+            call(move=move.astype(np.int64)),
+            call(move=move.astype(np.uint32)),
+            call(t0=0.0),
+            call(m=4.0),
+            call(pinv=[[0] * size]),
+            call(move=[1, 0, 3]),
         ],
         ValueError: [
-            lambda: kern.step(src, dst, comp[0], 0, size),
-            lambda: kern.step(src, dst, comp[:, :, None], 0, size),
-            lambda: kern.step(src, dst, np.asfortranarray(comp), 0, size),
-            lambda: kern.step(src[::2], dst[::2], comp[:, ::2], 0, size // 2),
-            lambda: kern.step(src, dst[:-1], comp, 0, size - 1),
-            lambda: kern.step(src[:-1], dst, comp, 0, size),
-            lambda: kern.step(src, dst, comp[:, :-1], 0, size - 1),
-            lambda: kern.step_indirect(src, dst, comp, ainv[:-1], 0, size - 1),
-            lambda: kern.step(src, dst, comp, 0, size + 1),
-            lambda: kern.step(src, dst, comp, -1, size),
-            lambda: kern.step(src, dst, comp, 5, 4),
-            lambda: kern.step_indirect(src, dst, comp, ainv, 0, size + 1),
-            lambda: kern.step(src, readonly, comp, 0, size),
+            call(pinv=pinv[0]),
+            call(pinv=pinv[:, :, None]),
+            call(pinv=np.asfortranarray(pinv)),
+            call(src=src[::2], dst=dst[::2], pinv=pinv[:, ::2], t1=size // 2),
+            call(dst=dst[:-1], t1=size - 1),
+            call(src=src[:-1]),
+            call(pinv=pinv[:, :-1], t1=size - 1),
+            call(move=move[:2]),
+            call(move=np.array([1, 0, 3, 0], dtype=np.int32)),
+            call(move=move[None, :]),
+            call(move=np.array([1, 0, 4], dtype=np.int32)),
+            call(move=np.array([1, -1, 3], dtype=np.int32)),
+            call(m=2),
+            call(m=8),
+            call(m=0),
+            call(m=-4),
+            call(t1=size + 1),
+            call(t0=-1),
+            call(t0=5, t1=4),
+            call(dst=readonly),
         ],
     }
     for exc, calls in bad_calls.items():
-        for call in calls:
+        for bad in calls:
             with pytest.raises(exc):
-                call()
+                bad()
+    assert (dst == 2).all()
     assert not readonly.any()
 
 
@@ -408,22 +463,68 @@ def test_compiled_kernel_rejects_bad_arguments():
     ],
 )
 def test_transition_tables_match_decoded_reference(n, m, gens):
-    # Move tables: ainv[t] = encode(decode(t) - y).  Permutation tables:
-    # pinv[g, t] = encode(g^-1 applied to decode(t)), for the rotations or
-    # for the given generators.
+    # Moves: every backend's kernel undoes the move as u(t) =
+    # encode(decode(t) - y), read back one bit of u at a time through an
+    # identity table.  Permutation tables: pinv[g, t] = encode(g^-1 applied
+    # to decode(t)), for the rotations or for the given generators.
+    from spintable import kernels
     from spintable.perm import inverse
     from spintable.verify import TransitionTables
 
     spec = rot_spec(n, m) if gens is None else GameSpec(n, m, generator_set(n, gens))
     tables = TransitionTables(spec)
-    configs = [decode_config(t, n, m) for t in range(spec.state_count)]
+    size = spec.state_count
+    configs = [decode_config(t, n, m) for t in range(size)]
+    identity = np.arange(size, dtype=np.int32)
     rng = random.Random(n * 100 + m)
     moves = [[0] * n, [m - 1] * n] + [[rng.randrange(m) for _ in range(n)] for _ in range(3)]
     for entries in moves:
         y = mod_vector(m, entries)
-        table = tables.move_table(y)
-        assert table.dtype.name == "int32"
-        assert table.tolist() == [encode_config(x - y) for x in configs]
+        move = np.array(entries, dtype=np.int32)
+        for name in kernels.available_backends():
+            kern = kernels.get_backend(name)
+            u = np.zeros(size, dtype=np.int64)
+            for bit in range((size - 1).bit_length()):
+                plane = (identity >> bit & 1).astype(np.uint8)
+                dst = np.empty(size, dtype=np.uint8)
+                kern.advance(plane, dst, identity[None, :], move, m, 0, size)
+                u |= dst.astype(np.int64) << bit
+            assert u.tolist() == [encode_config(x - y) for x in configs]
+    assert tables._pinv.dtype.name == "int32"
     for gi, g in enumerate(spec.S.perms):
         g_inv = inverse(g)
         assert tables._pinv[gi].tolist() == [encode_config(act(g_inv, x)) for x in configs]
+
+
+# With one position mod 3 and only the identity, the one-move strategy (1)
+# loses, but replaying y_1 = 1 as a canonical round on the reduced start set
+# would win it, so an off-by-one in the reduction shows.
+@pytest.mark.parametrize(
+    "spec",
+    ORACLE_SPECS + [GameSpec(1, 3, generator_set(1, [[0]]))],
+    ids=lambda s: f"n{s.n}m{s.m}g{len(s.S)}",
+)
+def test_move_permute_reduction_matches_belief_oracle(backend, spec):
+    # verify_dense plays move-permute order as canonical play on y_2..y_L
+    # from every state except 0 and y_1; the oracle plays the order itself.
+    # Seeded random strategies, synthesized winners with and without a
+    # random prefix, and the empty, one-move and y_1 = 0 strategies.
+    rng = random.Random(50_000 + spec.n * 100 + spec.m)
+    gens = [g.mapping for g in spec.S.perms]
+    zero = [0] * spec.n
+    strategies = [
+        random_strategy(spec, rng.randrange(0, 2 * spec.state_count), rng) for _ in range(12)
+    ]
+    strategies += [Strategy(spec, ()), Strategy(spec, (mod_vector(spec.m, [1] * spec.n),))]
+    strategies += [Strategy(spec, (mod_vector(spec.m, zero),) + random_strategy(spec, 6, rng).moves)]
+    strategies += [Strategy(spec, (mod_vector(spec.m, zero),))]
+    if decide(spec).solvable:
+        winner = synth(spec).moves
+        prefix = random_strategy(spec, rng.randrange(1, spec.state_count), rng).moves
+        strategies += [Strategy(spec, winner), Strategy(spec, prefix + winner)]
+    for strategy in strategies:
+        moves = [y.entries for y in strategy.moves]
+        wins, empties_at = move_permute_wins(spec.n, spec.m, gens, moves)
+        full = verify_dense(strategy, order=ORDER_MOVE_PERMUTE, backend=backend, early_exit=False)
+        assert (full.wins, full.steps_checked) == (wins, empties_at)
+        assert verify_dense(strategy, order=ORDER_MOVE_PERMUTE, backend=backend).wins == wins
